@@ -20,8 +20,9 @@
    required to be byte-identical, and BENCH_parallel.json records the
    wall-clock pair plus the speedup.
 
-   Part 5 (BENCH_scale.json) covers the two scale paths: the coalesced
-   deadline rings vs per-message timers, and the region-sharded
+   Part 5 (BENCH_scale.json) covers the two scale paths: the classic
+   Member path's region-size sweep and its deadline churn (exact
+   per-message Timer.Idle deadlines), and the region-sharded
    members x shards sweep (Rrmp.Sharded over Engine.Shard), whose rows
    re-assert the shard-count identity guarantee while timing it.
 
@@ -37,7 +38,7 @@
                            emit the JSON files and re-parse them (used by
                            the [bench-smoke] dune alias as a CI check)
      main.exe -j N         worker domains for the parallel suite
-                           (default 4, clamped to >= 2)
+                           (default 4, at least 2)
      main.exe -s N         max shard count for the sharded sweep
                            (default 4)
      main.exe --det-check  run one experiment at -j 1 and -j 4 and exit
@@ -49,7 +50,11 @@
      main.exe --scale-only just the two scale sweeps + BENCH_scale.json
      main.exe --alloc-gates just the allocation gates + BENCH_alloc.json
                            (--smoke shrinks op counts; budgets are
-                           identical either way) *)
+                           identical either way)
+     main.exe --net        RRMP over UDP loopback + codec benches into
+                           BENCH_net.json (--smoke: reduced)
+
+   Any other argument prints the usage and exits 2. *)
 
 let reproduce () =
   Format.printf "=====================================================================@.";
@@ -516,10 +521,10 @@ let parallel_result_json { p_name; seq_wall_s; par_wall_s; p_jobs; speedup } =
 (* hot-path data structures (BENCH_state.json)                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Each entry reports ns/op and minor-heap words/op. "Before" entries
-   run the retained reference implementations (Gap_oracle, list-walking
-   digest_has); "after" entries run the production structures and carry
-   a [speedup_vs_oracle] column against their paired reference. *)
+(* Each entry reports ns/op and minor-heap words/op. The digest-storm
+   "before" entry runs the retained list-walking [digest_has]; its
+   "after" entry runs the indexed digest and carries a
+   [speedup_vs_oracle] column against it. *)
 
 type state_result = {
   st_name : string;
@@ -555,22 +560,12 @@ let measure_state ~runs ~ops st_name f =
 let with_speedup ~vs r =
   { r with st_speedup = Some (vs.st_ns_per_op /. Float.max r.st_ns_per_op 1e-9) }
 
-module type GAP = sig
-  type t
-
-  val create : unit -> t
-  val note_data : t -> int -> [ `Fresh of int list | `Duplicate ]
-  val note_repaired : t -> int -> unit
-  val received : t -> int -> bool
-  val missing_count : t -> int
-  val received_count : t -> int
-end
-
 (* long-session soak: [n] sequence numbers with every 100th dropped,
    batched repairs every 1000, a [received] probe per packet and
    counter samples every 100 — the shape of a member that stays
    subscribed for a long session *)
-let gap_soak (type a) (module G : GAP with type t = a) ~n () =
+let gap_soak ~n () =
+  let module G = Protocol.Gap_detect in
   let g = G.create () in
   let acc = ref 0 in
   for seq = 0 to n - 1 do
@@ -605,11 +600,8 @@ let storm_probes ~sources ~horizon ~count =
 let run_state ~smoke () =
   let n = if smoke then 5_000 else 100_000 in
   let soak_runs = if smoke then 1 else 3 in
-  let soak name m = measure_state ~runs:soak_runs ~ops:n name (gap_soak m ~n) in
-  let soak_before = soak "state/gap-soak set-oracle (before)" (module Protocol.Gap_oracle) in
-  let soak_after =
-    with_speedup ~vs:soak_before
-      (soak "state/gap-soak windowed (after)" (module Protocol.Gap_detect))
+  let soak =
+    measure_state ~runs:soak_runs ~ops:n "state/gap-soak windowed" (gap_soak ~n)
   in
   let sources = 16 and horizon = 400 in
   let digest = storm_digest ~sources ~horizon in
@@ -644,7 +636,7 @@ let run_state ~smoke () =
                 ~region_sizes:[ 100; 400; 1000 ] ()));
         0)
   in
-  let results = [ soak_before; soak_after; dig_before; dig_after; fig8; fig9 ] in
+  let results = [ soak; dig_before; dig_after; fig8; fig9 ] in
   List.iter
     (fun r ->
       Format.printf "  %-42s %12.1f ns/op %10.2f words/op%s@." r.st_name r.st_ns_per_op
@@ -670,16 +662,14 @@ let state_result_json r =
     | None -> [])
 
 (* ------------------------------------------------------------------ *)
-(* Scale suite: coalesced deadline rings vs per-message idle timers    *)
+(* Scale suite: the classic Member path at growing region size         *)
 (* (BENCH_scale.json)                                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* The ext_scale workload at [quantum = 0.0] runs the exact per-message
-   Timer.Idle path (the "before" configuration); [quantum > 0] runs the
-   coalesced deadline rings. Both are measured with the observer off so
-   the emission-gating fast path is what's timed, and minor-heap words
-   are charged per delivered message — the zero-allocation claim made
-   precise. *)
+(* The ext_scale workload over Member's exact per-message Timer.Idle
+   deadlines, measured with the observer off so the emission-gating
+   fast path is what's timed; minor-heap words are charged per
+   delivered message. *)
 
 type scale_result = {
   sc_name : string;
@@ -700,15 +690,15 @@ type scale_result = {
    is what the trajectory tracks. *)
 let peak_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words
 
-let measure_scale ~n ~msgs ~burst ~quantum sc_name =
+let measure_scale ~n ~msgs ~burst sc_name =
   let stats, sc_wall_s, words =
     gc_sampled (fun () ->
-        Experiments.Ext_scale.run_once ~n ~msgs ~burst ~quantum ~seed:1 ~observe:false ())
+        Experiments.Ext_scale.run_once ~n ~msgs ~burst ~seed:1 ~observe:false ())
   in
   {
     sc_name;
     sc_members = n;
-    sc_quantum = quantum;
+    sc_quantum = 0.0;
     sc_shards = 1;
     sc_wall_s;
     sc_sim_events = stats.Experiments.Ext_scale.sim_events;
@@ -722,18 +712,16 @@ let print_scale r =
   Format.printf "  %-44s %8.3f s  %9d sim events  %8.2f words/op%s@." r.sc_name
     r.sc_wall_s r.sc_sim_events r.sc_minor_words_per_op
     (match r.sc_extra with
-     | Some ("speedup_vs_timers", s) -> Format.asprintf "  %5.2fx vs timers" s
      | Some ("speedup_vs_1shard", s) -> Format.asprintf "  %5.2fx vs 1 shard" s
      | Some (key, s) -> Format.asprintf "  %5.2f %s" s key
      | None -> "")
 
 (* The deadline-management component in isolation, at the sweep's
-   deadline population: [members * msgs] concurrent deadlines, [rounds]
-   full feedback passes (every deadline touched), then expiry. This is
-   the op mix [touch_feedback]/[start_idle_timer] generate inside the
-   sweep, with the per-delivery protocol work (which dominates the
-   whole-run numbers above and is identical in both configurations)
-   stripped away — the speedup the rings were built for. *)
+   deadline population: [members * msgs] concurrent Timer.Idle
+   deadlines, [rounds] full feedback passes (every deadline touched),
+   then expiry. This is the op mix [touch_feedback]/[start_idle_timer]
+   generate inside the sweep, with the per-delivery protocol work
+   (which dominates the whole-run numbers above) stripped away. *)
 
 let churn_timers ~members ~msgs ~rounds () =
   let sim = Engine.Sim.create () in
@@ -750,47 +738,14 @@ let churn_timers ~members ~msgs ~rounds () =
   Engine.Sim.run sim;
   (fired, sim)
 
-module Int_ring = Engine.Dring.Make (struct
-  type t = int
-
-  let equal = Int.equal
-  let hash = Fun.id
-end)
-
-let churn_rings ~members ~msgs ~rounds () =
-  let sim = Engine.Sim.create () in
-  let fired = ref 0 in
-  let rings =
-    Array.init members (fun _ ->
-        Int_ring.create sim ~quantum:10.0 ~on_expire:(fun _ -> incr fired))
-  in
-  Array.iter
-    (fun ring ->
-      for m = 0 to msgs - 1 do
-        Int_ring.add ring m ~timeout:100.0
-      done)
-    rings;
-  for r = 1 to rounds do
-    ignore
-      (Engine.Sim.schedule_at sim ~at:(float_of_int r *. 20.0) (fun () ->
-           Array.iter
-             (fun ring ->
-               for m = 0 to msgs - 1 do
-                 Int_ring.touch ring m
-               done)
-             rings))
-  done;
-  Engine.Sim.run sim;
-  (fired, sim)
-
-let measure_churn ~members ~msgs ~quantum sc_name f =
+let measure_churn ~members ~msgs sc_name f =
   let (fired, sim), sc_wall_s, words = gc_sampled f in
   if !fired <> members * msgs then
     failwith (sc_name ^ ": some deadlines never fired");
   {
     sc_name;
     sc_members = members;
-    sc_quantum = quantum;
+    sc_quantum = 0.0;
     sc_shards = 1;
     sc_wall_s;
     sc_sim_events = Engine.Sim.events_executed sim;
@@ -804,56 +759,24 @@ let run_scale ~smoke () =
   let sizes = if smoke then [ 256 ] else [ 256; 1024; 2048; 5000 ] in
   let msgs = if smoke then 8 else 48 in
   let burst = if smoke then 4 else 8 in
-  let quantum = 10.0 in
   let sweep =
-    List.concat_map
+    List.map
       (fun n ->
-        let before =
-          measure_scale ~n ~msgs ~burst ~quantum:0.0
-            (Printf.sprintf "scale/sweep n=%d per-msg timers (before)" n)
-        in
-        let after =
-          measure_scale ~n ~msgs ~burst ~quantum
-            (Printf.sprintf "scale/sweep n=%d deadline rings (after)" n)
-        in
-        (* below the ring/timer crossover (n ~ 1024) the rings' fixed
-           sweep costs dominate the tiny timer population, so the ratio
-           reads as a bogus "slowdown" — exactly what the smoke sweep's
-           n=256 cell used to publish. Rows below the crossover carry
-           no speedup column; the full sweep's large cells do. *)
-        let after =
-          if n < 1024 then after
-          else
-            { after with
-              sc_extra =
-                Some ("speedup_vs_timers", before.sc_wall_s /. Float.max after.sc_wall_s 1e-9) }
-        in
-        print_scale before;
-        print_scale after;
-        [ before; after ])
+        let r = measure_scale ~n ~msgs ~burst (Printf.sprintf "scale/sweep n=%d" n) in
+        print_scale r;
+        r)
       sizes
   in
   let c_members = if smoke then 256 else 5000 in
   let c_msgs = if smoke then 8 else 48 in
   let rounds = if smoke then 2 else 4 in
-  let churn_before =
-    measure_churn ~members:c_members ~msgs:c_msgs ~quantum:0.0
-      (Printf.sprintf "scale/deadline-churn %dx%d per-msg timers (before)" c_members c_msgs)
+  let churn =
+    measure_churn ~members:c_members ~msgs:c_msgs
+      (Printf.sprintf "scale/deadline-churn %dx%d" c_members c_msgs)
       (churn_timers ~members:c_members ~msgs:c_msgs ~rounds)
   in
-  let churn_after =
-    let r =
-      measure_churn ~members:c_members ~msgs:c_msgs ~quantum
-        (Printf.sprintf "scale/deadline-churn %dx%d deadline rings (after)" c_members c_msgs)
-        (churn_rings ~members:c_members ~msgs:c_msgs ~rounds)
-    in
-    { r with
-      sc_extra =
-        Some ("speedup_vs_timers", churn_before.sc_wall_s /. Float.max r.sc_wall_s 1e-9) }
-  in
-  print_scale churn_before;
-  print_scale churn_after;
-  sweep @ [ churn_before; churn_after ]
+  print_scale churn;
+  sweep @ [ churn ]
 
 (* ------------------------------------------------------------------ *)
 (* Region-sharded sweep: members × shards over Rrmp.Sharded            *)
@@ -908,9 +831,8 @@ let measure_shard_row ~regions ~per_region ~msgs ~burst ~shards ~expect sc_name 
    time), so the unobserved path must measure 0.00 minor words/op —
    the emission-gating claim made precise at the sweep's population. *)
 let measure_soa_touch ~members ~msgs ~rounds sc_name =
-  let sim = Engine.Sim.create () in
   let soa =
-    Rrmp.Member_soa.create ~sim ~n:members ~cap:msgs ~quantum:10.0 ~idle_timeout:1e9
+    Rrmp.Member_soa.create ~now:0.0 ~n:members ~cap:msgs ~quantum:10.0 ~idle_timeout:1e9
       ~lifetime:None
       ~on_idle:(fun ~member:_ ~seq:_ -> ())
       ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
@@ -1214,7 +1136,7 @@ let bench ~smoke ~jobs ~max_shards () =
   Format.printf "---------------------------------------------------------------------@.";
   let parallels = run_parallel ~smoke ~jobs () in
   Format.printf "---------------------------------------------------------------------@.";
-  Format.printf " Scale sweep: deadline rings vs per-message timers@.";
+  Format.printf " Scale sweep: classic Member path, exact per-message deadlines@.";
   Format.printf "---------------------------------------------------------------------@.";
   let scales = run_scale ~smoke () in
   Format.printf "---------------------------------------------------------------------@.";
@@ -1244,44 +1166,52 @@ let bench ~smoke ~jobs ~max_shards () =
     validate_json "BENCH_scale.json"
   end
 
+let usage =
+  "main.exe [--smoke] [-j N] [-s N] [--det-check | --shard-check | --alloc-gates | --net | \
+   --scale-only]"
+
 let () =
-  let argv = Sys.argv in
   let jobs = ref 4 in
   let max_shards = ref 4 in
-  Array.iteri
-    (fun i a ->
-      if (a = "-j" || a = "--jobs") && i + 1 < Array.length argv then
-        match int_of_string_opt argv.(i + 1) with
-        | Some n when n >= 2 -> jobs := n
-        | _ -> failwith ("bad -j value: " ^ argv.(i + 1))
-      else if (a = "-s" || a = "--shards") && i + 1 < Array.length argv then
-        match int_of_string_opt argv.(i + 1) with
-        | Some n when n >= 1 -> max_shards := n
-        | _ -> failwith ("bad --shards value: " ^ argv.(i + 1)))
-    argv;
-  if Array.exists (String.equal "--det-check") argv then exit (det_check ())
-  else if Array.exists (String.equal "--shard-check") argv then exit (shard_check ())
-  else if Array.exists (String.equal "--alloc-gates") argv then
-    (* just the per-path allocation gates + BENCH_alloc.json; --smoke
-       shrinks the op counts (budgets are identical) *)
-    run_alloc_gates ~smoke:(Array.exists (String.equal "--smoke") argv) ()
-  else if Array.exists (String.equal "--net") argv then begin
-    (* real-traffic backend: RRMP over UDP loopback through the binary
-       codec + the codec micro-benchmarks, into BENCH_net.json *)
-    let smoke = Array.exists (String.equal "--smoke") argv in
+  let smoke = ref false in
+  let mode = ref `Full in
+  let at_least lo name r =
+    Arg.Int
+      (fun n ->
+        if n >= lo then r := n
+        else raise (Arg.Bad (Printf.sprintf "%s must be at least %d, got %d" name lo n)))
+  in
+  let only m = Arg.Unit (fun () -> mode := m) in
+  let spec =
+    Arg.align
+      [
+        ("-j", at_least 2 "-j" jobs, "N worker domains for the parallel suite (default 4)");
+        ("--jobs", at_least 2 "--jobs" jobs, "N same as -j");
+        ("-s", at_least 1 "-s" max_shards, "N max shard count for the sharded sweep (default 4)");
+        ("--shards", at_least 1 "--shards" max_shards, "N same as -s");
+        ("--smoke", Arg.Set smoke, " reduced sizes; emitted JSON is re-parsed");
+        ("--det-check", only `Det_check, " fig8 at -j 1 vs -j 4, byte-compared");
+        ("--shard-check", only `Shard_check, " sharded scale reports at --shards 1 vs 4");
+        ("--alloc-gates", only `Alloc_gates, " allocation gates + BENCH_alloc.json only");
+        ("--net", only `Net, " UDP loopback + codec benches into BENCH_net.json");
+        ("--scale-only", only `Scale, " the two scale sweeps + BENCH_scale.json only");
+      ]
+  in
+  (* anything unrecognized prints the usage and exits 2: a typo must
+     never fall through to the multi-minute full run *)
+  Arg.parse spec (fun a -> raise (Arg.Bad ("unknown argument " ^ a))) usage;
+  let smoke = !smoke in
+  match !mode with
+  | `Det_check -> exit (det_check ())
+  | `Shard_check -> exit (shard_check ())
+  | `Alloc_gates -> run_alloc_gates ~smoke ()
+  | `Net ->
     write_json "BENCH_net.json" (suite_json ~suite:"net" ~smoke (Net_bench.run ~smoke ()));
     if smoke then validate_json "BENCH_net.json"
-  end
-  else if Array.exists (String.equal "--scale-only") argv then begin
-    (* just the ring-vs-timers + sharded sweeps + their JSON, for quick
-       iteration *)
-    let smoke = Array.exists (String.equal "--smoke") argv in
+  | `Scale ->
     let scales = run_scale ~smoke () @ run_shard_sweep ~smoke ~max_shards:!max_shards () in
     write_json "BENCH_scale.json"
       (suite_json ~suite:"scale" ~smoke (List.map scale_result_json scales))
-  end
-  else begin
-    let smoke = Array.exists (String.equal "--smoke") argv in
+  | `Full ->
     if not smoke then reproduce ();
     bench ~smoke ~jobs:!jobs ~max_shards:!max_shards ()
-  end

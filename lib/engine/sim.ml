@@ -90,13 +90,12 @@ let push_queued t handle =
   t.queued <- t.queued + 1;
   maybe_compact t
 
-let schedule_at t ~at action =
-  let at = if at > t.clock then at else t.clock in
-  let handle = { at; seq = t.next_seq; action; state = 0; cancels = t.cancels } in
-  t.next_seq <- t.next_seq + 1;
-  (* [head] caches the minimum so the schedule-one/fire-one pattern
-     (timer cascades, lone in-flight packets) never touches the wheel
-     or heap. Invariant: head <> nil implies head <= everything queued. *)
+(* [head] caches the minimum so the schedule-one/fire-one pattern
+   (timer cascades, lone in-flight packets) never touches the wheel or
+   heap. Invariant: head <> nil implies head <= everything queued.
+   Inlined into both schedulers: [schedule_at] is the hottest call in
+   the engine and must not pay an extra call per event. *)
+let[@inline] enqueue t handle =
   if t.head == t.nil then begin
     if t.queued = 0 then t.head <- handle else push_queued t handle
   end
@@ -105,7 +104,24 @@ let schedule_at t ~at action =
     t.head <- handle;
     push_queued t demoted
   end
-  else push_queued t handle;
+  else push_queued t handle
+
+let schedule_at t ~at action =
+  let at = if at > t.clock then at else t.clock in
+  let handle = { at; seq = t.next_seq; action; state = 0; cancels = t.cancels } in
+  t.next_seq <- t.next_seq + 1;
+  enqueue t handle;
+  handle
+
+let reserve_seq t =
+  let seq = t.next_seq in
+  t.next_seq <- seq + 1;
+  seq
+
+let schedule_with_seq t ~at ~seq action =
+  let at = if at > t.clock then at else t.clock in
+  let handle = { at; seq; action; state = 0; cancels = t.cancels } in
+  enqueue t handle;
   handle
 
 let schedule t ~delay action =

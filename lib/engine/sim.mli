@@ -49,6 +49,23 @@ val schedule_at : t -> at:float -> (unit -> unit) -> handle
 (** [schedule_at t ~at f] runs [f] at absolute time [at] (clamped to
     [now t]). *)
 
+val reserve_seq : t -> int
+(** Take the sequence number the next {!schedule} would have used,
+    without scheduling anything. The number orders like any other:
+    an event later placed with it through {!schedule_with_seq} runs
+    exactly where an event scheduled at the moment of the reservation
+    would have run. Counted by {!events_scheduled}. *)
+
+val schedule_with_seq : t -> at:float -> seq:int -> (unit -> unit) -> handle
+(** [schedule_with_seq t ~at ~seq f] runs [f] at [at] (clamped to
+    [now t]) in the (time, seq) slot given by [seq], which must come
+    from {!reserve_seq} on [t]. Each reserved number is used at most
+    once, and only while its slot still lies ahead of the event being
+    run (so [at] must not precede [now t], and at [now t] the
+    reservation must be younger than the running event). This is how a
+    deferred re-arm ({!Timer.Idle.touch}) keeps the place an eager
+    cancel + re-schedule would have given it. *)
+
 val cancel : handle -> unit
 (** O(1); cancelling an already-fired or already-cancelled event is a
     no-op. *)

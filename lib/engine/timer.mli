@@ -4,13 +4,16 @@
     {!Idle.touch} pushes the deadline back. This is exactly the shape of
     RRMP's idle-threshold detection: "no request received for T ms".
 
-    Each [Idle] owns a scheduler entry, and [touch] cancels and
-    re-arms it — exact, but costly when thousands of deadlines are
-    touched per simulated second. For large populations of coalescable
-    deadlines use {!Dring}, which trades at most one quantum of firing
-    lateness for O(1) allocation-free touches and one scheduler entry
-    per deadline bucket. [Idle] remains the exact-semantics reference
-    that {!Dring} is lockstep-tested against. *)
+    Firing is exact and identical to cancelling and re-scheduling the
+    timer on every touch: [on_idle] runs at the instant [timeout] ms
+    after the last touch, in the same FIFO place among same-instant
+    events. The cost is not: {!Idle.touch} writes the new deadline and
+    reserves the replacement event's sequence number
+    ({!Sim.reserve_seq}), allocating nothing and leaving the scheduler
+    alone; the armed event re-arms itself in that reserved slot
+    ({!Sim.schedule_with_seq}) when it comes due. A timer touched [k]
+    times per quiet period thus costs one scheduler entry per period,
+    not [k]. *)
 module Idle : sig
   type t
 
@@ -20,7 +23,8 @@ module Idle : sig
 
   val touch : t -> unit
   (** Reset the quiet period. No-op after the timer fired or was
-      stopped. *)
+      stopped. Allocation-free: two field writes and a sequence-number
+      reservation. *)
 
   val stop : t -> unit
   (** Disarm without firing. *)

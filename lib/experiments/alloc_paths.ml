@@ -56,9 +56,8 @@ module Soa = Rrmp.Member_soa
 let nop_cb ~member:_ ~seq:_ = ()
 
 let make_soa ~n ~cap ?(on_gap = nop_cb) () =
-  let sim = Engine.Sim.create ~wheel:false () in
-  Soa.create ~sim ~n ~cap ~quantum:10.0 ~idle_timeout:1e9 ~lifetime:None
-    ~on_idle:nop_cb ~on_lifetime:nop_cb ~on_gap ()
+  Soa.create ~now:0.0 ~n ~cap ~quantum:10.0 ~idle_timeout:1e9 ~lifetime:None ~on_idle:nop_cb
+    ~on_lifetime:nop_cb ~on_gap ()
 
 (* deliver: in-order receipt bookkeeping — gap check, short-term buffer
    insert with deadline arming, delivery accounting. The second half of
@@ -178,8 +177,7 @@ let run_regional_fanout ~regions ~per_region ~batches =
    above zero by design; the budget documents the bound. *)
 
 let repair_group ~topology =
-  let config = { Rrmp.Config.default with Rrmp.Config.deadline_quantum = 10.0 } in
-  let group = Rrmp.Group.create ~seed:7 ~config ~topology () in
+  let group = Rrmp.Group.create ~seed:7 ~config:Rrmp.Config.default ~topology () in
   let id = Rrmp.Group.multicast group () in
   Rrmp.Group.run group;
   (group, id)

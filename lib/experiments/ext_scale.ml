@@ -2,10 +2,10 @@
 
    The paper's motivation is asymptotic: per-member buffering work must
    shrink as the region grows (P = C/n). This experiment holds the
-   per-member load fixed and sweeps the region size into the thousands,
-   which is only affordable with the coalesced deadline rings
-   ([Config.deadline_quantum] > 0) — the per-message-timer path is the
-   baseline the BENCH_scale.json trajectory compares against.
+   per-member load fixed and sweeps the region size into the thousands
+   over the classic Member path, whose exact per-message idle and
+   lifetime deadlines absorb feedback touches without scheduler traffic
+   (Timer.Idle defers its re-arm).
 
    Workload: the sender multicasts [msgs] messages in bursts of
    [burst], [gap] ms apart; every receiver independently misses each
@@ -13,7 +13,7 @@
    stream, so the protocol RNGs are untouched). Losses are detected by
    the next burst's sequence gaps or the sender's session messages,
    recovered from the surviving (1 - loss_frac) majority — every local
-   request touching the holder's deadline ring — and all buffers drain
+   request touching the holder's idle deadline — and all buffers drain
    through the idle/lifetime deadlines.
 
    The report contains only simulation-domain quantities (latency,
@@ -24,7 +24,7 @@
 type run_stats = {
   members : int;
   delivered : int;  (* message bodies obtained, summed over members *)
-  touches : int;  (* feedback touches = deadline-ring hot ops *)
+  touches : int;  (* feedback touches = deadline hot ops *)
   recovered : int;
   recovery_mean : float;  (* ms from detection to repair *)
   occupancy_msg_ms : float;  (* buffer integral per member *)
@@ -32,8 +32,8 @@ type run_stats = {
   sim_events : int;
 }
 
-let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.0)
-    ~quantum ~seed ?(observe = true) () =
+let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.0) ~seed
+    ?(observe = true) () =
   let topology = Topology.single_region ~size:n in
   let config =
     {
@@ -41,7 +41,6 @@ let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.
       Rrmp.Config.long_term_lifetime = Some lifetime;
       session_interval = Some 50.0;
       max_recovery_tries = Some 40;
-      deadline_quantum = quantum;
     }
   in
   let recovered = ref 0 in
@@ -101,13 +100,13 @@ let run_once ~n ~msgs ~burst ?(gap = 25.0) ?(loss_frac = 0.05) ?(lifetime = 400.
   }
 
 let run ?(sizes = [ 256; 1024; 2048; 5000 ]) ?(msgs = 48) ?(burst = 8) ?(trials = 2)
-    ?(quantum = 10.0) ?(seed = 1) () =
+    ?(seed = 1) () =
   let rows =
     List.map
       (fun n ->
         let stats =
           Runner.par_map_trials ~trials ~base_seed:(seed + (n * 7919)) (fun ~seed ->
-              run_once ~n ~msgs ~burst ~quantum ~seed ())
+              run_once ~n ~msgs ~burst ~seed ())
         in
         let trials_f = float_of_int trials in
         let mean_f f = Array.fold_left (fun acc s -> acc +. f s) 0.0 stats /. trials_f in
@@ -141,12 +140,11 @@ let run ?(sizes = [ 256; 1024; 2048; 5000 ]) ?(msgs = 48) ?(burst = 8) ?(trials 
       [
         Printf.sprintf
           "%d msgs in bursts of %d, 5%% independent loss, lifetime 400 ms, %d trials; \
-           deadline quantum %.0f ms (discards may fire up to one quantum late, never early)"
-          msgs burst trials quantum;
+           exact per-message idle/lifetime deadlines"
+          msgs burst trials;
         "recovery latency and occupancy should stay flat as n grows (P = C/n keeps \
          per-member work constant); sim events grow linearly with n";
-        "sim-domain values only: wall-clock for this sweep (ring vs per-message timers) \
-         is tracked in BENCH_scale.json";
+        "sim-domain values only: wall-clock for this sweep is tracked in BENCH_scale.json";
       ]
     rows
 

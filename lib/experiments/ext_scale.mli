@@ -1,17 +1,18 @@
 (** Extension: large-group scale-out sweep over region size at fixed
-    per-member load, run with the coalesced deadline rings
-    ({!Rrmp.Config.t.deadline_quantum} > 0).
+    per-member load, over the classic {!Rrmp.Member} path with its
+    exact per-message deadlines.
 
     Reports recovery latency, buffer occupancy and simulator event
     counts per region size — simulation-domain values only, so seeded
     reports are byte-identical everywhere; the wall-clock side of the
-    sweep (deadline ring vs per-message timers) lives in
-    [BENCH_scale.json]. *)
+    sweep lives in [BENCH_scale.json]. The sharded variants
+    ({!run_sharded}, {!run_1m}) run {!Rrmp.Sharded} and take the
+    deadline [quantum] that sets its ring and barrier window. *)
 
 type run_stats = {
   members : int;
   delivered : int;
-  touches : int;  (** feedback touches — the deadline rings' hot op *)
+  touches : int;  (** feedback touches — the deadlines' hot op *)
   recovered : int;
   recovery_mean : float;
   occupancy_msg_ms : float;
@@ -26,7 +27,6 @@ val run_once :
   ?gap:float ->
   ?loss_frac:float ->
   ?lifetime:float ->
-  quantum:float ->
   seed:int ->
   ?observe:bool ->
   unit ->
@@ -34,17 +34,15 @@ val run_once :
 (** One seeded run: [msgs] sender multicasts in bursts of [burst]
     every [gap] ms (default 25), each receiver missing each message
     independently with probability [loss_frac] (default 0.05), long-term
-    lifetime [lifetime] ms (default 400), deadline quantum [quantum]
-    (0 = exact per-message timers — the benchmark baseline).
-    [observe] = false skips the event observer so the benchmark can
-    measure the allocation-free path. *)
+    lifetime [lifetime] ms (default 400). [observe] = false skips the
+    event observer so the benchmark can measure the allocation-free
+    path. *)
 
 val run :
   ?sizes:int list ->
   ?msgs:int ->
   ?burst:int ->
   ?trials:int ->
-  ?quantum:float ->
   ?seed:int ->
   unit ->
   Report.t

@@ -154,7 +154,7 @@ let all =
     };
     {
       id = "ext_scale";
-      description = "Large-group scale-out: region sweep at fixed per-member load (deadline rings)";
+      description = "Large-group scale-out: region sweep at fixed per-member load (exact deadlines)";
       paper_ref = "extension (Section 1 'scalability' motivation)";
       run =
         (fun ~quick ->

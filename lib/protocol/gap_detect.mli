@@ -15,8 +15,9 @@
     counters: [note_data], [received], [received_count] and
     [missing_count] are O(1) amortized and allocation-free, and the
     per-source footprint is O(reorder window) rather than O(session
-    length). {!Gap_oracle} is the original set-based implementation,
-    kept as the reference model for the qcheck equivalence suites. *)
+    length). The original set-based implementation lives on in
+    [test/gap_oracle.ml] as the reference model for the qcheck
+    equivalence suites. *)
 
 type t
 

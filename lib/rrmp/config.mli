@@ -74,24 +74,11 @@ type t = {
   buffering : buffering_policy;
   selection : bufferer_selection;
   deadline_quantum : float;
-      (** buffer-deadline coalescing quantum, ms. [0.0] (the default)
-          keeps the exact per-message {!Engine.Timer.Idle} path:
-          idle/lifetime deadlines fire at their precise instants, which
-          is the mode all paper-scale experiments run in. A positive
-          value routes both deadline populations through one coalesced
-          {!Engine.Dring} per member: discards may then fire up to one
-          quantum late (never early), in exchange for O(1)
-          allocation-free deadline touches and O(distinct buckets)
-          scheduler entries — the large-[n] scale-out mode. *)
-  wire_arena : bool;
-      (** route hot-path sends ([Data]/[Repair]/[Regional_repair]/
-          [Local_request]/[Remote_request]/[Session]) through the
-          member's {!Wire_arena}, which interns the wire cells so a
-          steady-state resend allocates nothing. [true] (the default)
-          changes no observable behaviour — arena cells are
-          structurally equal to fresh constructions, which the
-          lockstep test suite enforces; [false] builds every message
-          fresh (the reference path). *)
+      (** {!Sharded} only: the deadline-ring quantum and conservative
+          barrier window, ms; must be positive there. Idle and lifetime
+          deadlines fire up to one quantum late, never early.
+          {!Member} ignores it: its deadlines are exact per-message
+          {!Engine.Timer.Idle}s. Default [0.0]. *)
 }
 
 val default : t

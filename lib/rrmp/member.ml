@@ -7,18 +7,6 @@ module Rng = Engine.Rng
 module Timer = Engine.Timer
 module Metrics = Tracing.Metrics
 
-(* Coalesced deadline ring over message ids (the scale-out timer path,
-   enabled by [Config.deadline_quantum > 0]). The ring keeps its own
-   hash: unlike [Msg_id.hash] it allocates nothing, and since nothing
-   iterates the ring's table its ordering can't leak into seeded runs. *)
-module Ring = Engine.Dring.Make (struct
-  type t = Msg_id.t
-
-  let equal = Msg_id.equal
-
-  let hash id = (Node_id.to_int (Msg_id.source id) * 0x2545f49) lxor Msg_id.seq id
-end)
-
 (* An insertion-ordered node set: the waiting/search origin lists are
    appended to on every probe and consulted on every repair, so dedup
    must not rescan the list. Iteration order (newest first) matches
@@ -93,10 +81,6 @@ type t = {
   recoveries : recovery Msg_id.Table.t;
   idle_timers : Timer.Idle.t Msg_id.Table.t;  (* short-term feedback timers *)
   lifetime_timers : Timer.Idle.t Msg_id.Table.t;  (* long-term eventual discard *)
-  mutable rings : (Ring.t * Ring.t) option;
-      (* (idle, lifetime) coalesced deadline rings; [Some] iff
-         [deadline_quantum > 0], in which case the two timer tables
-         above stay empty *)
   pending_remote : Origins.t Msg_id.Table.t;
       (* origins recorded while we miss the message ourselves *)
   searches : search Msg_id.Table.t;
@@ -185,37 +169,28 @@ let remote_timeout t =
 (* Feedback: requests keep a buffered message alive                    *)
 (* ------------------------------------------------------------------ *)
 
+(* allocation-free: [find]-with-exception rather than [find_opt] (no
+   [Some] box), and [Timer.Idle.touch] defers its re-arm *)
 let touch_feedback t id =
   t.mh_touches := !(t.mh_touches) + 1;
-  match t.rings with
-  | Some (idle, lifetime) ->
-    (* O(1) field writes; no scheduler traffic, no allocation *)
-    Ring.touch idle id;
-    Ring.touch lifetime id
-  | None ->
-    (match Msg_id.Table.find_opt t.idle_timers id with
-     | Some timer -> Timer.Idle.touch timer
-     | None -> ());
-    (match Msg_id.Table.find_opt t.lifetime_timers id with
-     | Some timer -> Timer.Idle.touch timer
-     | None -> ())
+  (match Msg_id.Table.find t.idle_timers id with
+   | timer -> Timer.Idle.touch timer
+   | exception Not_found -> ());
+  match Msg_id.Table.find t.lifetime_timers id with
+  | timer -> Timer.Idle.touch timer
+  | exception Not_found -> ()
 
 let cancel_idle t id =
-  (match t.rings with
-   | Some (idle, lifetime) ->
-     Ring.stop idle id;
-     Ring.stop lifetime id
-   | None ->
-     (match Msg_id.Table.find_opt t.idle_timers id with
-      | Some timer ->
-        Timer.Idle.stop timer;
-        Msg_id.Table.remove t.idle_timers id
-      | None -> ());
-     (match Msg_id.Table.find_opt t.lifetime_timers id with
-      | Some timer ->
-        Timer.Idle.stop timer;
-        Msg_id.Table.remove t.lifetime_timers id
-      | None -> ()));
+  (match Msg_id.Table.find_opt t.idle_timers id with
+   | Some timer ->
+     Timer.Idle.stop timer;
+     Msg_id.Table.remove t.idle_timers id
+   | None -> ());
+  (match Msg_id.Table.find_opt t.lifetime_timers id with
+   | Some timer ->
+     Timer.Idle.stop timer;
+     Msg_id.Table.remove t.lifetime_timers id
+   | None -> ());
   (* the policy-specific tables are populated only under Fixed_time /
      Stability: the length guard spares Two_phase runs the hash *)
   if Msg_id.Table.length t.fixed_timers <> 0 then
@@ -248,9 +223,7 @@ let discard t id ~phase =
 (* the idle threshold elapsed: randomized long-term buffering decision
    (Section 3.2) *)
 let become_idle t id =
-  (match t.rings with
-   | Some _ -> ()  (* the ring already dropped the entry before firing *)
-   | None -> Msg_id.Table.remove t.idle_timers id);
+  Msg_id.Table.remove t.idle_timers id;
   if t.observing then emit t (Events.Became_idle { id; buffered_for = buffered_for t id });
   let n = View.local_size t.view in
   let c = t.config.Config.expected_bufferers in
@@ -265,31 +238,22 @@ let become_idle t id =
       match t.config.Config.long_term_lifetime with
       | None -> ()
       | Some lifetime ->
-        (match t.rings with
-         | Some (_, ring) -> Ring.add ring id ~timeout:lifetime
-         | None ->
-           let timer =
-             Timer.Idle.create t.sim ~timeout:lifetime ~on_idle:(fun () ->
-                 Msg_id.Table.remove t.lifetime_timers id;
-                 discard t id ~phase:Buffer.Long_term)
-           in
-           Msg_id.Table.replace t.lifetime_timers id timer)
+        let timer =
+          Timer.Idle.create t.sim ~timeout:lifetime ~on_idle:(fun () ->
+              Msg_id.Table.remove t.lifetime_timers id;
+              discard t id ~phase:Buffer.Long_term)
+        in
+        Msg_id.Table.replace t.lifetime_timers id timer
     end
     else if t.observing then emit t (Events.Promotion_skipped id)
   end
   else discard t id ~phase:Buffer.Short_term
 
-let lifetime_expired t id = discard t id ~phase:Buffer.Long_term
-
 let start_idle_timer t id =
-  match t.rings with
-  | Some (ring, _) -> Ring.add ring id ~timeout:(idle_threshold t)
-  | None ->
-    let timer =
-      Timer.Idle.create t.sim ~timeout:(idle_threshold t) ~on_idle:(fun () ->
-          become_idle t id)
-    in
-    Msg_id.Table.replace t.idle_timers id timer
+  let timer =
+    Timer.Idle.create t.sim ~timeout:(idle_threshold t) ~on_idle:(fun () -> become_idle t id)
+  in
+  Msg_id.Table.replace t.idle_timers id timer
 
 (* Stability policy: a buffered message may be discarded
    [hold_after_stable] after every region member is known (through
@@ -749,13 +713,12 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       view;
       recv = Recv_log.create ();
       buffer = Buffer.create ~sim:(Network.sim net);
-      arena = Wire_arena.create ~enabled:config.Config.wire_arena ~origin:node ();
+      arena = Wire_arena.create ~origin:node ();
       observer;
       observing = observer <> None;
       recoveries = Msg_id.Table.create 16;
       idle_timers = Msg_id.Table.create 16;
       lifetime_timers = Msg_id.Table.create 16;
-      rings = None;
       pending_remote = Msg_id.Table.create 8;
       searches = Msg_id.Table.create 8;
       have_announced = Msg_id.Table.create 8;
@@ -776,12 +739,6 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       mh_discarded = mh "rrmp.discarded";
     }
   in
-  if config.Config.deadline_quantum > 0.0 then begin
-    let q = config.Config.deadline_quantum in
-    let idle = Ring.create t.sim ~quantum:q ~on_expire:(fun id -> become_idle t id) in
-    let lifetime = Ring.create t.sim ~quantum:q ~on_expire:(fun id -> lifetime_expired t id) in
-    t.rings <- Some (idle, lifetime)
-  end;
   Network.register net node (handle_delivery t);
   (match config.Config.buffering with
    | Config.Stability { exchange_interval; _ } ->
@@ -869,11 +826,6 @@ let searching t id = Msg_id.Table.mem t.searches id
 let[@lint.allow
      "D2 teardown cancels are order-insensitive: Sim.cancel and Timer stops only \
       lazy-invalidate handles and emit no observable event"] stop_all_timers t =
-  (match t.rings with
-   | Some (idle, lifetime) ->
-     Ring.clear idle;
-     Ring.clear lifetime
-   | None -> ());
   Msg_id.Table.iter (fun _ timer -> Timer.Idle.stop timer) t.idle_timers;
   Msg_id.Table.reset t.idle_timers;
   Msg_id.Table.iter (fun _ timer -> Timer.Idle.stop timer) t.lifetime_timers;

@@ -68,10 +68,10 @@ val create :
     receives [rrmp.delivered] / [rrmp.feedback_touches] /
     [rrmp.discarded] counters through pre-resolved handles.
 
-    With {!Config.t.deadline_quantum} positive, the member's idle and
-    lifetime deadlines live in two coalesced {!Engine.Dring}s instead
-    of per-message {!Engine.Timer.Idle} instances; see the config field
-    for the trade-off.
+    Each buffered message's idle deadline (and, once long-term, its
+    lifetime deadline) is one exact {!Engine.Timer.Idle}; a feedback
+    touch pushes it back without allocating or scheduling.
+    {!Config.t.deadline_quantum} is ignored here.
     @raise Invalid_argument if [node] is not in the network's topology
     or the config fails {!Config.validate}. *)
 

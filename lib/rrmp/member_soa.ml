@@ -2,10 +2,10 @@
 
    Packing: a (member, seq) pair is the int key [k = m * cap + seq];
    bitsets are byte-packed Bytes.t over k, phases are one byte per k,
-   deadline ticks are one int per k. The built-in deadline ring mirrors
-   Engine.Dring's lazy-touch design with the per-key entry record and
-   hashtable replaced by the tick arrays: [touch] is a plain array
-   store, and the sweep re-buckets keys whose tick moved. Bucket
+   deadline ticks are one int per k. The built-in deadline ring is
+   lazy-touch: [touch] is a plain array store, and the sweep re-buckets
+   keys whose tick moved. The owner sweeps it at its barriers
+   ([sweep_until]); the ring never schedules a Sim event. Bucket
    vectors are grow-only int arrays; the bucket table is only ever
    indexed by tick (never iterated), so no unordered-iteration order
    can escape.
@@ -59,10 +59,8 @@ type t = {
   quantum : float;
   idle_timeout : float;
   lifetime : float;  (* 0.0 = no lifetime configured *)
-  barrier_driven : bool;  (* sweeps come from sweep_until, not Sim events *)
   mutable armed_buckets : int;  (* non-empty ticks; quiescence probe *)
-  mutable swept : int;  (* highest tick swept (barrier-driven mode) *)
-  sim : Engine.Sim.t;
+  mutable swept : int;  (* highest tick swept *)
   on_idle : member:int -> seq:int -> unit;
   on_lifetime : member:int -> seq:int -> unit;
   on_gap : member:int -> seq:int -> unit;
@@ -86,8 +84,7 @@ type t = {
   buckets : bucket Tick_tbl.t;  (* tick -> armed keys (packed with class) *)
 }
 
-let create ~sim ~n ~cap ~quantum ~idle_timeout ~lifetime ?(barrier_driven = false) ~on_idle
-    ~on_lifetime ~on_gap () =
+let create ~now ~n ~cap ~quantum ~idle_timeout ~lifetime ~on_idle ~on_lifetime ~on_gap () =
   if n < 0 then invalid_arg "Member_soa.create: n must be non-negative";
   if cap <= 0 then invalid_arg "Member_soa.create: cap must be positive";
   (* the packed key [m * cap + seq] must survive the ring's extra
@@ -112,13 +109,11 @@ let create ~sim ~n ~cap ~quantum ~idle_timeout ~lifetime ?(barrier_driven = fals
     quantum;
     idle_timeout;
     lifetime;
-    barrier_driven;
     armed_buckets = 0;
-    (* ticks at or before "now" are treated as already swept, so the
+    (* ticks at or before [now] are treated as already swept, so the
        first sweep_until never fires a deadline armed after create in
        a bucket that predates it *)
-    swept = int_of_float (Float.floor ((Engine.Sim.now sim /. quantum) +. 1e-9));
-    sim;
+    swept = int_of_float (Float.floor ((now /. quantum) +. 1e-9));
     on_idle;
     on_lifetime;
     on_gap;
@@ -228,7 +223,7 @@ let received_count t m = t.recv_cnt.(m)
 let highest_seen t m = t.horizon.(m)
 
 (* ------------------------------------------------------------------ *)
-(* Deadline ring (arrayified Dring)                                    *)
+(* Deadline ring                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (* bucket entries pack the deadline class into the low bit *)
@@ -248,30 +243,22 @@ let bucket_push b packed =
   b.len <- b.len + 1
 
 (* [find]-with-exception, not [find_opt]: arming into an existing
-   bucket is the steady state and must not pay a [Some] box. In
-   barrier-driven mode a new bucket costs nothing beyond the table
-   entry — the owning shard sweeps it from the window loop — so an
-   arena shared by many regions schedules no Sim events at all. *)
-let[@lint.allow
-     "H2 the sweep thunk is built once per NEW tick bucket and amortized over every key \
-      armed into it; the steady state takes the find arm above"] rec enqueue t tick packed =
+   bucket is the steady state and must not pay a [Some] box. A new
+   bucket costs nothing beyond the table entry — the owner sweeps it
+   from its window loop — so an arena shared by many regions schedules
+   no Sim events at all. *)
+let enqueue t tick packed =
   match Tick_tbl.find t.buckets tick with
   | b -> bucket_push b packed
   | exception Not_found ->
     let b = { keys = Array.make 8 0; len = 0 } in
     bucket_push b packed;
     Tick_tbl.add t.buckets tick b;
-    t.armed_buckets <- t.armed_buckets + 1;
-    if not t.barrier_driven then
-      ignore
-        (Engine.Sim.schedule_at t.sim
-           ~at:(float_of_int tick *. t.quantum)
-           (fun () -> sweep t tick))
+    t.armed_buckets <- t.armed_buckets + 1
 
 (* fire everything still due at [tick], in arming order; keys whose
-   deadline was pushed out by a touch re-bucket here (lazily), exactly
-   like Dring's sweep *)
-and sweep t tick =
+   deadline was pushed out by a touch re-bucket here (lazily) *)
+let sweep t tick =
   match Tick_tbl.find t.buckets tick with
   | exception Not_found -> ()
   | b ->
@@ -293,14 +280,11 @@ and sweep t tick =
         else enqueue t cur packed
     done
 
-(* barrier-driven sweeping: the shard coordinator calls this after each
-   window with tick = floor(barrier / quantum). Ticks are swept in
-   ascending order exactly as the Sim-scheduled sweeps would run, and a
-   deadline armed mid-sweep always lands at a strictly later tick
+(* the shard coordinator calls this after each window with
+   tick = floor(barrier / quantum). Ticks are swept in ascending order,
+   and a deadline armed mid-sweep always lands at a strictly later tick
    (timeouts are positive), so the loop never chases its own tail. *)
 let sweep_until t ~tick =
-  if not t.barrier_driven then
-    invalid_arg "Member_soa.sweep_until: arena sweeps are Sim-driven";
   while t.swept < tick do
     t.swept <- t.swept + 1;
     sweep t t.swept

@@ -7,26 +7,25 @@
     watermarks/bitsets (the arrayified {!Protocol.Gap_detect}),
     two-phase buffer phase counters with incremental occupancy
     integrals, and int-packed deadline ticks swept by a built-in
-    coalesced deadline ring (the arrayified {!Engine.Dring}). At 10^6
-    members this is a handful of flat arrays instead of ~10^6 heap
-    records and per-member hashtables; every hot operation below is
-    O(1) amortized and allocation-free.
+    coalesced deadline ring. At 10^6 members this is a handful of flat
+    arrays instead of ~10^6 heap records and per-member hashtables;
+    every hot operation below is O(1) amortized and allocation-free.
 
-    The record-based classic path ({!Member} over {!Protocol.Gap_detect},
-    {!Buffer} and {!Engine.Dring}) is retained as the reference model;
-    [test/test_shard.ml] holds the qcheck lockstep suites proving the
-    gap-detection and buffer/occupancy semantics equivalent. *)
+    The record-based classic path ({!Member} over
+    {!Protocol.Gap_detect}, {!Buffer} and {!Engine.Timer.Idle}) is
+    retained as the reference model; [test/test_shard.ml] holds the
+    qcheck lockstep suites proving the gap-detection and
+    buffer/occupancy semantics equivalent. *)
 
 type t
 
 val create :
-  sim:Engine.Sim.t ->
+  now:float ->
   n:int ->
   cap:int ->
   quantum:float ->
   idle_timeout:float ->
   lifetime:float option ->
-  ?barrier_driven:bool ->
   on_idle:(member:int -> seq:int -> unit) ->
   on_lifetime:(member:int -> seq:int -> unit) ->
   on_gap:(member:int -> seq:int -> unit) ->
@@ -34,19 +33,19 @@ val create :
   t
 (** Arena for [n] members and sequence numbers [0, cap) of one source
     ([n = 0] builds a valid empty arena — a shard that was assigned no
-    regions). Idle deadlines fire [idle_timeout] ms after the last
-    {!touch} (into [on_idle]); long-term entries expire [lifetime] ms
-    after their last touch (into [on_lifetime]). Deadlines are
-    coalesced on a [quantum]-ms ring exactly like {!Engine.Dring}: they
-    fire up to one quantum late, never early, in arming order within a
-    tick.
+    regions), created at virtual time [now]. Idle deadlines fire
+    [idle_timeout] ms after the last {!touch} (into [on_idle]);
+    long-term entries expire [lifetime] ms after their last touch (into
+    [on_lifetime]). Deadlines are coalesced on a [quantum]-ms ring:
+    deadline [d] belongs to tick [ceil (d / quantum)], and fires when
+    that tick is swept — up to one quantum late, never early, in arming
+    order within a tick.
 
-    By default each newly non-empty tick schedules its own sweep event
-    on [sim]. With [~barrier_driven:true] the arena {e never} schedules
-    Sim events: the owner must call {!sweep_until} after each window
-    (the {!Engine.Shard.run} [on_window] hook) and report
-    {!deadlines_pending} from the [busy] hook — this is what lets one
-    arena serve a whole shard without per-region sweep traffic.
+    The arena schedules no events of its own: the owner calls
+    {!sweep_until} after each window (the {!Engine.Shard.run}
+    [on_window] hook) and reports {!deadlines_pending} from the [busy]
+    hook — this is what lets one arena serve a whole shard without
+    per-region sweep traffic.
 
     [on_gap] receives every sequence number newly detected as missing
     (by {!note_data} or {!note_session}), in ascending order per call.
@@ -135,21 +134,20 @@ val settle : t -> int -> now:float -> unit
 
 val settle_all : t -> now:float -> unit
 
-(** {2 Barrier-driven sweeping} (arenas created with [barrier_driven]) *)
+(** {2 Sweeping} *)
 
 val sweep_until : t -> tick:int -> unit
 (** Sweep every unswept ring tick up to and including [tick] (=
     [floor (barrier / quantum)]), firing due deadlines in arming order
-    and lazily re-bucketing touched ones — the barrier-driven
-    equivalent of the Sim-scheduled sweeps, called from
+    and lazily re-bucketing touched ones. Called from
     {!Engine.Shard.run}'s [on_window] hook while the shard's clock sits
-    exactly at the barrier. Idempotent per tick.
-    @raise Invalid_argument on an arena not created [barrier_driven]. *)
+    exactly at the barrier. Idempotent per tick; ticks at or before the
+    creation time count as swept. *)
 
 val deadlines_pending : t -> bool
-(** Whether any ring tick still holds armed keys — barrier-driven
-    arenas report this through {!Engine.Shard.run}'s [busy] hook so
-    quiescence detection keeps windows alive until the rings drain. *)
+(** Whether any ring tick still holds armed keys — reported through
+    {!Engine.Shard.run}'s [busy] hook so quiescence detection keeps
+    windows alive until the ring drains. *)
 
 (** {2 Delivery and promotion accounting} *)
 

@@ -605,8 +605,8 @@ let create ~seed ~config ~sizes ~parents ~shards ~cap ?(intra_ms = 5.0) ?(inter_
        every recovery round *)
     let sim = Sim.create ~wheel:false () in
     let soa =
-      Member_soa.create ~sim ~n:m_count ~cap ~quantum ~idle_timeout
-        ~lifetime:config.Config.long_term_lifetime ~barrier_driven:true
+      Member_soa.create ~now:(Sim.now sim) ~n:m_count ~cap ~quantum ~idle_timeout
+        ~lifetime:config.Config.long_term_lifetime
         ~on_idle:(fun ~member ~seq ->
           let t = get_t () in
           idle_decision t t.spines.(s) ~g:member ~seq)

@@ -42,10 +42,9 @@ let set_default_enabled b = Atomic.set default_enabled_atomic b
 
 let default_enabled () = Atomic.get default_enabled_atomic
 
-let create ?(enabled = true) ~origin () =
-  let enabled = enabled && Atomic.get default_enabled_atomic in
+let create ~origin () =
   {
-    enabled;
+    enabled = Atomic.get default_enabled_atomic;
     origin;
     data = Msg_id.Table.create 16;
     repairs = Msg_id.Table.create 16;

@@ -13,23 +13,22 @@
 
     Payload-carrying cells are revalidated by pointer against the
     payload being sent, so a cached cell can never resurrect a stale
-    body. With [enabled = false] every call constructs a fresh value —
-    the reference path the equivalence suite compares against. *)
+    body. An arena created while {!default_enabled} is [false]
+    constructs a fresh value on every call — the reference path the
+    equivalence suite compares against. *)
 
 type t
 
-val create : ?enabled:bool -> origin:Node_id.t -> unit -> t
+val create : origin:Node_id.t -> unit -> t
 (** [origin] is the owning member's address: it names the requester in
-    every {!remote_request} this arena produces. [enabled] defaults to
-    [true] and is further ANDed with {!default_enabled}, sampled here
-    at creation time. *)
+    every {!remote_request} this arena produces. Whether the arena
+    interns is {!default_enabled}, sampled here at creation time. *)
 
 val set_default_enabled : bool -> unit
-(** Process-wide kill switch (the [Pool.set_default_workers]
-    convention), ANDed with every subsequent {!create}'s [enabled]
-    flag: harnesses flip it to compare whole experiment registries
-    with the arena on and off. Defaults to [true]; existing arenas are
-    unaffected. *)
+(** Process-wide switch (the [Pool.set_default_workers] convention),
+    the one way to turn interning off: harnesses flip it to compare
+    whole experiment registries with the arena on and off. Defaults to
+    [true]; existing arenas are unaffected. *)
 
 val default_enabled : unit -> bool
 

@@ -1,9 +1,7 @@
 (* Reference model for Gap_detect: the original balanced-set
    implementation, kept verbatim as an executable specification. The
    qcheck model suites drive it in lockstep with the windowed detector
-   over random event interleavings, and the protocol-state bench uses
-   it as the "before" side of the gap-detect soak. Not used on any
-   protocol path. *)
+   over random event interleavings. Not used on any protocol path. *)
 
 module Int_set = Set.Make (Int)
 

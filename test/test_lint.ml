@@ -303,6 +303,48 @@ let test_sarif_smoke () =
     s;
   Alcotest.(check bool) "braces balance" true (!ok && !depth = 0)
 
+(* a module compiled both ways leaves .objs/byte/m.cmt and
+   .objs/native/m.cmt; discovery must hand the typed pass one of them *)
+let test_one_cmt_per_module () =
+  let root = Filename.temp_file "lint_cmts" "" in
+  Sys.remove root;
+  let objs = Filename.concat root "lib/.x.objs" in
+  List.iter
+    (fun d -> Sys.mkdir d 0o755)
+    [ root; Filename.concat root "lib"; objs; Filename.concat objs "byte";
+      Filename.concat objs "native" ];
+  let files = [ "byte/x__M.cmt"; "byte/x__N.cmt"; "native/x__M.cmt"; "native/x__N.cmt" ] in
+  List.iter (fun f -> close_out (open_out (Filename.concat objs f))) files;
+  let cmts =
+    Lint_typed.discover_cmts ~root { tcfg with Config.typed_dirs = [ "lib" ] }
+  in
+  List.iter (fun f -> Sys.remove (Filename.concat objs f)) files;
+  List.iter Sys.rmdir
+    [ Filename.concat objs "native"; Filename.concat objs "byte"; objs;
+      Filename.concat root "lib"; root ];
+  Alcotest.(check (list string)) "the byte cmt of each module, once"
+    [ Filename.concat objs "byte/x__M.cmt"; Filename.concat objs "byte/x__N.cmt" ]
+    cmts
+
+(* compilation units of lib/: one per .ml plus the alias module dune
+   generates (.ml-gen) for each wrapped library, counted in the tree
+   whose cmts the typed pass reads *)
+let lib_module_count () =
+  let built = Filename.concat repo_root "_build/default/lib" in
+  let lib = if Sys.file_exists built then built else Filename.concat repo_root "lib" in
+  let rec count dir =
+    Array.fold_left
+      (fun n name ->
+        let path = Filename.concat dir name in
+        if String.starts_with ~prefix:"." name then n
+        else if Sys.is_directory path then n + count path
+        else if Filename.check_suffix name ".ml" || Filename.check_suffix name ".ml-gen" then
+          n + 1
+        else n)
+      0 (Sys.readdir dir)
+  in
+  count lib
+
 let test_typed_clean_tree () =
   (* the committed config over the real lib/ cmts: zero unaudited
      P/E/A findings, a call graph of real size, justified audits *)
@@ -310,6 +352,10 @@ let test_typed_clean_tree () =
   let cmts = Lint_typed.discover_cmts ~root:repo_root cfg in
   Alcotest.(check bool) "lib cmts discovered" true (List.length cmts > 30);
   let r = Lint_typed.analyze ~root:repo_root cfg ~cmts in
+  (* one unit per module: a native cmt beside the byte one must not
+     load the same module twice *)
+  Alcotest.(check int) "one cmt unit per lib module" (lib_module_count ())
+    r.Lint_typed.stats.Lint_typed.units;
   List.iter
     (fun (f : Lint.finding) ->
       Format.eprintf "unexpected: %s:%d [%s] %s@." f.file f.line f.rule f.message)
@@ -351,6 +397,7 @@ let suites =
         Alcotest.test_case "audited typed suppressions" `Quick test_typed_suppressed;
         Alcotest.test_case "call graph over two units" `Quick test_call_graph;
         Alcotest.test_case "SARIF emitter smoke" `Quick test_sarif_smoke;
+        Alcotest.test_case "one cmt per module" `Quick test_one_cmt_per_module;
         Alcotest.test_case "lib cmts are typed-clean" `Quick test_typed_clean_tree;
       ] );
     ( "lint.tree",

@@ -3,7 +3,7 @@ let () =
     (List.concat
        [
          Test_engine.suites;
-         Test_dring.suites;
+         Test_idle_lockstep.suites;
          Test_stats.suites;
          Test_topology.suites;
          Test_netsim.suites;

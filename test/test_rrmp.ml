@@ -765,23 +765,17 @@ let suites = suites @ [ tracing_suite ]
 (* Allocation discipline on the gated hot path                         *)
 (* ------------------------------------------------------------------ *)
 
-(* With deadline rings armed and neither observer nor metrics attached,
+(* On the default config with neither observer nor metrics attached,
    processing a duplicate regional repair — the feedback op that
    dominates large-group recovery traffic: length-guarded regional
-   suppression, windowed duplicate check, two ring touches — must
-   allocate NOTHING on the minor heap. This is the tentpole's
-   "allocation-free event emission" claim made mechanically checkable:
-   any ungated [emit], [Some]-allocating table probe, or boxed-float
-   write on the path shows up as a nonzero word delta. *)
+   suppression, windowed duplicate check, two Timer.Idle touches — must
+   allocate NOTHING on the minor heap. This is the "allocation-free
+   event emission" claim made mechanically checkable: any ungated
+   [emit], [Some]-allocating table probe, eager timer re-arm or
+   boxed-float write on the path shows up as a nonzero word delta. *)
 
 let test_zero_alloc_duplicate_feedback () =
-  let config =
-    {
-      Config.default with
-      Config.deadline_quantum = 10.0;
-      long_term_lifetime = Some 1.0e6;
-    }
-  in
+  let config = { Config.default with Config.long_term_lifetime = Some 1.0e6 } in
   let topology = Topology.single_region ~size:4 in
   let group = Group.create ~seed:3 ~config ~topology () in
   let id = Group.multicast group () in
@@ -830,32 +824,6 @@ let test_emission_gating_saves_allocation () =
     true
     (silent < observed)
 
-(* member-level ring/legacy parity: identical delivery outcome and a
-   fully drained buffer either way, the rings merely firing later
-   within their quantum *)
-let test_ring_and_legacy_members_agree () =
-  let run quantum =
-    let config =
-      {
-        Config.default with
-        Config.deadline_quantum = quantum;
-        long_term_lifetime = Some 200.0;
-      }
-    in
-    let topology = Topology.chain ~sizes:[ 10; 10 ] in
-    let group = Group.create ~seed:11 ~config ~topology () in
-    let id =
-      Group.multicast_reaching group ~reach:(fun n -> Node_id.to_int n < 10) ()
-    in
-    Group.run group;
-    (Group.count_received group id, Group.total_buffered_messages group)
-  in
-  let legacy_received, legacy_buffered = run 0.0 in
-  let ring_received, ring_buffered = run 10.0 in
-  Alcotest.(check int) "all members recover either way" legacy_received ring_received;
-  Alcotest.(check int) "legacy buffers drain" 0 legacy_buffered;
-  Alcotest.(check int) "ring buffers drain" 0 ring_buffered
-
 let alloc_suite =
   ( "rrmp.allocation",
     [
@@ -863,8 +831,6 @@ let alloc_suite =
         test_zero_alloc_duplicate_feedback;
       Alcotest.test_case "emission gating saves allocation" `Quick
         test_emission_gating_saves_allocation;
-      Alcotest.test_case "ring/legacy member parity" `Quick
-        test_ring_and_legacy_members_agree;
     ] )
 
 let suites = suites @ [ alloc_suite ]

@@ -193,8 +193,8 @@ let gap_ops_arb =
       (Print.list (fun (m, op) -> Printf.sprintf "m%d:%s" m (gap_op_to_string op)))
     Gen.(list_size (int_bound 120) (pair (int_bound 2) op_gen))
 
-let unobserved_soa ?(on_gap = fun ~member:_ ~seq:_ -> ()) ~sim ~n ~cap () =
-  Soa.create ~sim ~n ~cap ~quantum:10.0 ~idle_timeout:1e6 ~lifetime:None
+let unobserved_soa ?(on_gap = fun ~member:_ ~seq:_ -> ()) ~n ~cap () =
+  Soa.create ~now:0.0 ~n ~cap ~quantum:10.0 ~idle_timeout:1e6 ~lifetime:None
     ~on_idle:(fun ~member:_ ~seq:_ -> ())
     ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
     ~on_gap ()
@@ -202,7 +202,6 @@ let unobserved_soa ?(on_gap = fun ~member:_ ~seq:_ -> ()) ~sim ~n ~cap () =
 let qcheck_gap_lockstep =
   QCheck.Test.make ~name:"member_soa gap ops ≡ Gap_detect (lockstep)" ~count:300
     gap_ops_arb (fun ops ->
-      let sim = Sim.create () in
       (* the gap sink is installed once at create; the lockstep loop
          drains it per op and checks the reported member as well *)
       let gaps = ref [] in
@@ -210,7 +209,7 @@ let qcheck_gap_lockstep =
       let ok = ref true in
       let check b = if not b then ok := false in
       let soa =
-        unobserved_soa ~sim ~n:3 ~cap:gap_cap
+        unobserved_soa ~n:3 ~cap:gap_cap
           ~on_gap:(fun ~member ~seq ->
             check (member = !cur_m);
             gaps := seq :: !gaps)
@@ -288,7 +287,7 @@ let qcheck_buffer_lockstep =
   QCheck.Test.make ~name:"member_soa buffer ≡ Buffer (lockstep)" ~count:300 buf_ops_arb
     (fun ops ->
       let sim = Sim.create () in
-      let soa = unobserved_soa ~sim ~n:1 ~cap:buf_cap () in
+      let soa = unobserved_soa ~n:1 ~cap:buf_cap () in
       let buf = Rrmp.Buffer.create ~sim in
       let id s = Protocol.Msg_id.make ~source:(Node_id.of_int 0) ~seq:s in
       let payload s = Rrmp.Payload.make (id s) in
@@ -337,15 +336,18 @@ let qcheck_buffer_lockstep =
 (* Member_soa deadline ring semantics                                  *)
 (* ------------------------------------------------------------------ *)
 
-(* the embedded ring mirrors Engine.Dring: deadlines coalesce onto
-   ceil(deadline / quantum) ticks — up to one quantum late, never
-   early — touches re-bucket lazily, promote/drop disarm *)
+(* the embedded ring: deadlines coalesce onto ceil(deadline / quantum)
+   ticks — up to one quantum late, never early — touches re-bucket
+   lazily, promote/drop disarm. Swept one tick at a time, so each fire
+   is stamped with the boundary of the tick that fired it. *)
 let test_soa_ring_semantics () =
-  let sim = Sim.create () in
+  let tick = ref 0 in
   let fired = ref [] in
-  let record cls ~member ~seq = fired := (Sim.now sim, cls, member, seq) :: !fired in
+  let record cls ~member ~seq =
+    fired := (float_of_int !tick *. 10.0, cls, member, seq) :: !fired
+  in
   let soa =
-    Soa.create ~sim ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
+    Soa.create ~now:0.0 ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
       ~on_idle:(record `Idle) ~on_lifetime:(record `Life)
       ~on_gap:(fun ~member:_ ~seq:_ -> ())
       ()
@@ -363,7 +365,10 @@ let test_soa_ring_semantics () =
   (* dropped entry never fires *)
   Alcotest.(check bool) "insert m1/s3" true (Soa.insert_short soa 1 3 ~now:0.0);
   Alcotest.(check bool) "drop m1/s3" true (Soa.drop soa 1 3 ~now:20.0);
-  Sim.run ~until:500.0 sim;
+  for k = 1 to 50 do
+    tick := k;
+    Soa.sweep_until soa ~tick:k
+  done;
   let pp_cls = function `Idle -> "idle" | `Life -> "life" in
   Alcotest.(check (list string))
     "fire times, classes and order"
@@ -372,17 +377,16 @@ let test_soa_ring_semantics () =
        (fun (at, cls, m, s) -> Printf.sprintf "%.0f %s m%d/s%d" at (pp_cls cls) m s)
        !fired)
 
-(* barrier-driven mode: the ring schedules no Sim events at all —
-   sweeps run from [sweep_until] at the coordinator's barriers, fire in
-   tick order, never early, and [deadlines_pending] is the quiescence
-   signal the shard driver's [busy] hook consults *)
+(* coarse barriers: sweeps run from [sweep_until] at the coordinator's
+   barriers, several ticks at once, fire in tick order, never early, and
+   [deadlines_pending] is the quiescence signal the shard driver's
+   [busy] hook consults *)
 let test_soa_barrier_ring () =
-  let sim = Sim.create () in
   let fired = ref [] in
   let record cls ~member ~seq = fired := (cls, member, seq) :: !fired in
   let soa =
-    Soa.create ~sim ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
-      ~barrier_driven:true ~on_idle:(record `Idle) ~on_lifetime:(record `Life)
+    Soa.create ~now:0.0 ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
+      ~on_idle:(record `Idle) ~on_lifetime:(record `Life)
       ~on_gap:(fun ~member:_ ~seq:_ -> ())
       ()
   in
@@ -393,7 +397,6 @@ let test_soa_barrier_ring () =
   ignore (Soa.insert_short soa 0 2 ~now:0.0 : bool);
   ignore (Soa.promote_long soa 0 2 ~now:0.0 : bool);
   (* lifetime due 100 -> tick 10 *)
-  Alcotest.(check int) "no Sim events for the ring" 0 (Sim.pending sim);
   Alcotest.(check bool) "deadlines pending" true (Soa.deadlines_pending soa);
   Soa.sweep_until soa ~tick:3;
   Alcotest.(check int) "nothing fires before its tick" 0 (List.length !fired);
@@ -406,18 +409,12 @@ let test_soa_barrier_ring () =
   Alcotest.(check (list string))
     "ticks fire in order" [ "idle m1/s4"; "idle m0/s0"; "life m0/s2" ]
     (List.rev_map pp !fired);
-  Alcotest.(check bool) "drained" false (Soa.deadlines_pending soa);
-  (* a Sim-driven arena refuses external sweeps *)
-  let sim_driven = unobserved_soa ~sim ~n:1 ~cap:4 () in
-  Alcotest.check_raises "sweep_until on a Sim-driven arena"
-    (Invalid_argument "Member_soa.sweep_until: arena sweeps are Sim-driven") (fun () ->
-      Soa.sweep_until sim_driven ~tick:1)
+  Alcotest.(check bool) "drained" false (Soa.deadlines_pending soa)
 
 let test_soa_create_validation () =
-  let sim = Sim.create () in
   let mk ?(n = 1) ?(cap = 1) ?(quantum = 1.0) ?(idle = 1.0) ?lifetime () =
     ignore
-      (Soa.create ~sim ~n ~cap ~quantum ~idle_timeout:idle ~lifetime
+      (Soa.create ~now:0.0 ~n ~cap ~quantum ~idle_timeout:idle ~lifetime
          ~on_idle:(fun ~member:_ ~seq:_ -> ())
          ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
          ~on_gap:(fun ~member:_ ~seq:_ -> ())

@@ -20,6 +20,12 @@ let origin = Node_id.of_int 9
 
 let arena () = Arena.create ~origin ()
 
+(* run [f] with the process-wide arena switch forced to [enabled] *)
+let with_arena enabled f =
+  let saved = Arena.default_enabled () in
+  Arena.set_default_enabled enabled;
+  Fun.protect ~finally:(fun () -> Arena.set_default_enabled saved) f
+
 (* every hot-path constructor, as (fresh construction, arena fetch)
    thunks over the same inputs *)
 let hot_pairs t p ~max_seq =
@@ -94,7 +100,7 @@ let revalidation_prop (seq, size) =
 (* disabled arena (the reference path): fresh, structurally equal
    values on every call, never the same cell twice *)
 let disabled_prop (seq, size) =
-  let t = Arena.create ~enabled:false ~origin () in
+  let t = with_arena false arena in
   let p = Payload.make ~size (mid seq) in
   Arena.data t p = Wire.Data p
   && Arena.data t p != Arena.data t p
@@ -128,11 +134,6 @@ let test_session_cache () =
 (* ------------------------------------------------------------------ *)
 (* Registry-wide report identity with the arena on and off             *)
 (* ------------------------------------------------------------------ *)
-
-let with_arena enabled f =
-  let saved = Arena.default_enabled () in
-  Arena.set_default_enabled enabled;
-  Fun.protect ~finally:(fun () -> Arena.set_default_enabled saved) f
 
 (* regression for the typed-lint P finding: the kill switch used to be
    a plain bool ref sampled by [create], which runs on pool worker

@@ -508,13 +508,20 @@ let apply_spans ctx =
 (* Tree walk                                                           *)
 (* ------------------------------------------------------------------ *)
 
+(* build output is not the program: inside the dune build context the
+   scanned dirs also hold object dirs ([.foo.objs]) and test output
+   ([_build]) that other rules write while this one runs *)
+let build_output name = name = "_build" || String.starts_with ~prefix:"." name
+
 let rec walk ~root rel acc =
   let abs = if rel = "" then root else Filename.concat root rel in
   if Sys.is_directory abs then
     Array.fold_left
       (fun acc name ->
-        let child = if rel = "" then name else rel ^ "/" ^ name in
-        walk ~root child acc)
+        if build_output name then acc
+        else
+          let child = if rel = "" then name else rel ^ "/" ^ name in
+          walk ~root child acc)
       acc
       (let entries = Sys.readdir abs in
        Array.sort String.compare entries;

@@ -873,6 +873,23 @@ let rec walk_dir root rel acc =
   else if Filename.check_suffix rel ".cmt" then rel :: acc
   else acc
 
+(* One cmt per module. When -bin-annot also reaches ocamlopt, a module
+   has two: .objs/byte/m.cmt and .objs/native/m.cmt, with the same
+   Typedtree. Loading both would double every def and edge, so the
+   first per (objs dir, file name) is kept — the byte one, which the
+   sorted walk yields first. *)
+let one_per_module paths =
+  let seen = Hashtbl.create 128 in
+  List.filter
+    (fun p ->
+      let key = Filename.concat (Filename.dirname (Filename.dirname p)) (Filename.basename p) in
+      if Hashtbl.mem seen key then false
+      else begin
+        Hashtbl.add seen key ();
+        true
+      end)
+    paths
+
 (* Discovery order (documented in tools/lint/README): for each [typed]
    dir D in lint.toml order, first D itself (fresh when running inside
    the dune build context, whose cwd is _build/default), then
@@ -883,11 +900,11 @@ let discover_cmts ?(root = ".") (cfg : Config.t) =
   List.concat_map
     (fun dir ->
       let direct = List.rev (walk_dir root dir []) in
-      if direct <> [] then List.map (fun f -> Filename.concat root f) direct
-      else
-        let under = Filename.concat "_build/default" dir in
-        List.rev_map (fun f -> Filename.concat root f) (walk_dir root under [])
-        |> List.rev)
+      let found =
+        if direct <> [] then direct
+        else List.rev (walk_dir root (Filename.concat "_build/default" dir) [])
+      in
+      List.map (fun f -> Filename.concat root f) (one_per_module found))
     cfg.Config.typed_dirs
 
 let load_unit g path =

@@ -17,7 +17,7 @@
 let usage =
   "rrmp_lint [--root DIR] [--config FILE] [--json FILE] [--sarif FILE] [--no-typed] [--quiet]"
 
-let json_v2 ~(textual : Lint_core.report) ~(typed : Lint_typed.result option) ~wall_ms =
+let json_v2 ~(textual : Lint_core.report) ~(typed : Lint_typed.result option) =
   let esc = Lint_core.json_escape in
   let findings =
     textual.Lint_core.findings @ match typed with Some t -> t.Lint_typed.findings | None -> []
@@ -44,7 +44,6 @@ let json_v2 ~(textual : Lint_core.report) ~(typed : Lint_typed.result option) ~w
   let buf = Buffer.create 4096 in
   Buffer.add_string buf "{\n  \"version\": \"lint-report/v2\",\n";
   Printf.bprintf buf "  \"files_scanned\": %d,\n" textual.files_scanned;
-  Printf.bprintf buf "  \"wall_ms\": %d,\n" wall_ms;
   Printf.bprintf buf "  \"rules\": [%s],\n"
     (String.concat ", " (List.map (fun r -> "\"" ^ r ^ "\"") Lint_core.known_rules));
   Printf.bprintf buf "  \"counts\": {%s},\n"
@@ -111,16 +110,14 @@ let () =
       (textual.Lint_core.findings
        @ match typed with Some t -> t.Lint_typed.findings | None -> [])
   in
-  (* bucketed so the promoted report does not churn on every rebuild *)
-  let wall_ms =
-    let ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
-    (ms + 50) / 100 * 100
-  in
+  (* stdout only: the promoted report must be byte-identical across
+     identical runs, and wall time is not *)
+  let wall_ms = int_of_float ((Unix.gettimeofday () -. t0) *. 1000.) in
   (match !json_out with
    | None -> ()
    | Some f ->
      let oc = open_out f in
-     output_string oc (json_v2 ~textual ~typed ~wall_ms);
+     output_string oc (json_v2 ~textual ~typed);
      close_out oc);
   (match !sarif_out with
    | None -> ()
