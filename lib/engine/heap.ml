@@ -31,8 +31,6 @@ let length t = t.size
 
 let is_empty t = t.size = 0
 
-let capacity t = Array.length t.data
-
 (* seq breaks ties so equal priorities pop in insertion order *)
 let less t i j =
   let c = t.compare_priority t.data.(i) t.data.(j) in
@@ -159,7 +157,3 @@ let clear t =
   t.seqs <- [||];
   t.size <- 0;
   t.next_seq <- 0
-
-let to_list_unordered t =
-  let rec collect i acc = if i < 0 then acc else collect (i - 1) (t.data.(i) :: acc) in
-  collect (t.size - 1) []

@@ -21,9 +21,6 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
-val capacity : 'a t -> int
-(** Physical size of the backing arrays (for introspection/tests). *)
-
 val push : 'a t -> 'a -> unit
 
 val push_list : 'a t -> 'a list -> unit
@@ -52,6 +49,3 @@ val filter_in_place : 'a t -> ('a -> bool) -> unit
 val clear : 'a t -> unit
 (** Empty the heap and release the backing arrays (so a long-running
     simulation does not pin dead payloads). *)
-
-val to_list_unordered : 'a t -> 'a list
-(** All elements, in unspecified order (for inspection/tests). *)

@@ -4,11 +4,11 @@
    min-cache ([head]) that absorbs the schedule-one/fire-one pattern
    entirely, a hierarchical timer wheel (O(1) schedule/cancel; covers
    the short horizon where virtually all protocol timers live) and a
-   binary heap for far-future events. Every handle carries a globally
-   increasing sequence number and everything orders by (fire-time,
-   seq), so execution order is identical to a single heap — FIFO among
-   events scheduled for the same instant — regardless of where an
-   event was stored.
+   binary heap that holds only events beyond the wheel's 2^20 ms
+   horizon. Every handle carries a globally increasing sequence number
+   and everything orders by (fire-time, seq), so execution order is
+   identical to a single heap — FIFO among events scheduled for the
+   same instant — regardless of where an event was stored.
 
    Cancellation is lazy (a state flip); cancelled entries are reaped
    when popped, or in bulk by a compaction pass once they exceed half of
@@ -27,8 +27,8 @@ type t = {
   mutable clock : float;
   mutable head : handle; (* min-cache: earliest pending event, or [nil] *)
   mutable queued : int; (* entries in wheel + heap (excludes [head]) *)
-  heap : handle Heap.t;
-  wheel : handle Wheel.t option;
+  heap : handle Heap.t; (* beyond the wheel's horizon *)
+  wheel : handle Wheel.t;
   nil : handle; (* sentinel: compares after every real handle *)
   cancels : int ref;
   mutable next_seq : int;
@@ -39,7 +39,7 @@ let compare_handle a b =
   let c = Float.compare a.at b.at in
   if c <> 0 then c else Int.compare a.seq b.seq
 
-let create ?(now = 0.0) ?(wheel = true) () =
+let create ?(now = 0.0) () =
   let nil = { at = infinity; seq = max_int; action = ignore; state = 2; cancels = ref 0 } in
   {
     clock = now;
@@ -47,10 +47,7 @@ let create ?(now = 0.0) ?(wheel = true) () =
     queued = 0;
     heap = Heap.create ~dummy:nil ~compare_priority:compare_handle ();
     wheel =
-      (if wheel then
-         Some (Wheel.create ~start:(Float.max now 0.0) ~time_of:(fun h -> h.at)
-                 ~compare:compare_handle ())
-       else None);
+      Wheel.create ~start:(Float.max now 0.0) ~time_of:(fun h -> h.at) ~compare:compare_handle ();
     nil;
     cancels = ref 0;
     next_seq = 0;
@@ -73,10 +70,9 @@ let alive h = h.state <> 1
 (* purge cancelled entries from both structures in one O(n) pass *)
 let compact t =
   Heap.filter_in_place t.heap alive;
-  (match t.wheel with None -> () | Some w -> Wheel.filter_in_place w alive);
+  Wheel.filter_in_place t.wheel alive;
   if t.head != t.nil && not (alive t.head) then t.head <- t.nil;
-  t.queued <-
-    Heap.length t.heap + (match t.wheel with None -> 0 | Some w -> Wheel.length w);
+  t.queued <- Heap.length t.heap + Wheel.length t.wheel;
   t.cancels := 0
 
 let maybe_compact t =
@@ -84,9 +80,7 @@ let maybe_compact t =
   if cancelled >= 32 && 2 * cancelled > pending t then compact t
 
 let push_queued t handle =
-  (match t.wheel with
-   | Some w when Wheel.add w handle -> ()
-   | Some _ | None -> Heap.push t.heap handle);
+  if not (Wheel.add t.wheel handle) then Heap.push t.heap handle;
   t.queued <- t.queued + 1;
   maybe_compact t
 
@@ -141,28 +135,19 @@ let fire_time handle = handle.at
    included, as before: reaping a cancelled event advances the clock to
    its fire time); [t.nil] when both are empty. Allocation-free. *)
 let pop_queued t =
-  match t.wheel with
-  | None ->
-    let h = Heap.top t.heap in
-    if h != t.nil then begin
-      Heap.remove_top t.heap;
-      t.queued <- t.queued - 1
-    end;
-    h
-  | Some w ->
-    let a = Wheel.top w ~default:t.nil in
-    let b = Heap.top t.heap in
-    if a == t.nil && b == t.nil then t.nil
-    else if b == t.nil || (a != t.nil && compare_handle a b <= 0) then begin
-      Wheel.drop_head w;
-      t.queued <- t.queued - 1;
-      a
-    end
-    else begin
-      Heap.remove_top t.heap;
-      t.queued <- t.queued - 1;
-      b
-    end
+  let a = Wheel.top t.wheel ~default:t.nil in
+  let b = Heap.top t.heap in
+  if a == t.nil && b == t.nil then t.nil
+  else if b == t.nil || (a != t.nil && compare_handle a b <= 0) then begin
+    Wheel.drop_head t.wheel;
+    t.queued <- t.queued - 1;
+    a
+  end
+  else begin
+    Heap.remove_top t.heap;
+    t.queued <- t.queued - 1;
+    b
+  end
 
 let pop_next t =
   let h = t.head in
@@ -171,23 +156,6 @@ let pop_next t =
     h
   end
   else pop_queued t
-
-let execute t h =
-  if h.at > t.clock then t.clock <- h.at;
-  if h.state = 0 then begin
-    h.state <- 2;
-    t.executed <- t.executed + 1;
-    h.action ()
-  end
-  else if h.state = 1 then decr t.cancels
-
-let step t =
-  let h = pop_next t in
-  if h == t.nil then false
-  else begin
-    execute t h;
-    true
-  end
 
 let run ?until ?max_events t =
   let unt = match until with None -> infinity | Some u -> u in

@@ -22,11 +22,10 @@ val never : handle
     as inert. Use it as the "no timer armed" value of a handle-valued
     field, avoiding an [option] box per re-arm on hot paths. *)
 
-val create : ?now:float -> ?wheel:bool -> unit -> t
-(** Fresh simulation with the clock at [now] (default 0.0 ms). [wheel]
-    (default [true]) routes short-horizon events through the timer
-    wheel; pass [false] to force the pure-heap scheduler (reference
-    semantics for equivalence tests). *)
+val create : ?now:float -> unit -> t
+(** Fresh simulation with the clock at [now] (default 0.0 ms). Every
+    driver gets the same queue: the timer wheel, with the heap holding
+    only events beyond its 2^20 ms horizon. *)
 
 val now : t -> float
 (** Current virtual time in milliseconds. *)
@@ -80,9 +79,6 @@ val run : ?until:float -> ?max_events:int -> t -> unit
     event is strictly later than [until], or after [max_events]
     callbacks have run. The clock ends at the time of the last executed
     event (or [until] if provided and larger). *)
-
-val step : t -> bool
-(** Execute the single next event. [false] if the queue was empty. *)
 
 val events_executed : t -> int
 (** Total callbacks run since creation. *)

@@ -69,15 +69,9 @@ let create ?(granularity = 1.0) ?(start = 0.0) ~time_of ~compare () =
     ready_len = 0;
   }
 
-let granularity t = t.granularity
-
 let length t = t.c0 + t.c1 + t.c2 + t.ready_len
 
-let is_empty t = length t = 0
-
 let tick_of t at = int_of_float (at /. t.granularity)
-
-let horizon t = float_of_int (t.lv2_lo + horizon_ticks) *. t.granularity
 
 (* re-align every window so [tick] sits at the cursor; only valid when
    the wheel is empty *)
@@ -184,10 +178,6 @@ let top t ~default =
   if t.ready_len = 0 then refill t;
   match t.ready with [] -> default | x :: _ -> x
 
-let peek t =
-  if t.ready_len = 0 then refill t;
-  match t.ready with [] -> None | x :: _ -> Some x
-
 let drop_head t =
   match t.ready with
   | [] -> ()
@@ -224,21 +214,3 @@ let filter_in_place t keep =
   let ready = List.filter keep t.ready in
   t.ready <- ready;
   t.ready_len <- List.length ready
-
-let clear t =
-  Array.fill t.lv0 0 lv0_slots [];
-  Array.fill t.lv1 0 lv1_slots [];
-  Array.fill t.lv2 0 lv2_slots [];
-  t.c0 <- 0;
-  t.c1 <- 0;
-  t.c2 <- 0;
-  t.ready <- [];
-  t.ready_len <- 0
-
-let to_list_unordered t =
-  let acc = ref t.ready in
-  let grab slots = Array.iter (fun b -> List.iter (fun v -> acc := v :: !acc) b) slots in
-  grab t.lv0;
-  grab t.lv1;
-  grab t.lv2;
-  !acc

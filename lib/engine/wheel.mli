@@ -26,41 +26,27 @@ val create :
     width in the same unit as [time_of]. [compare] must be a total order
     consistent with [time_of] (equal times broken deterministically). *)
 
-val granularity : 'a t -> float
-
-val horizon : 'a t -> float
-(** Entries with [time_of] at or beyond this absolute time are rejected
-    by {!add}. The horizon advances as the wheel drains. *)
-
 val length : 'a t -> int
-
-val is_empty : 'a t -> bool
 
 val add : 'a t -> 'a -> bool
 (** Insert an entry; O(1). Returns [false] (without inserting) when the
-    entry lies beyond {!horizon} — the caller should fall back to its
-    far-future structure. Entries behind the cursor are accepted and
+    entry lies 2^20 ticks or more past the start of the wheel's
+    coarsest window — the caller should fall back to its far-future
+    structure. Entries behind the cursor are accepted and
     merge-inserted in order. *)
 
-val peek : 'a t -> 'a option
-(** Earliest entry (by [compare]) without removing it. Amortized O(1);
-    may advance the cursor (lazy cascading). *)
-
 val top : 'a t -> default:'a -> 'a
-(** Allocation-free {!peek}: [default] when empty. *)
+(** Earliest entry (by [compare]) without removing it, or [default]
+    when empty. Amortized O(1) and allocation-free; may advance the
+    cursor (lazy cascading). *)
 
 val pop : 'a t -> 'a option
 (** Remove and return the earliest entry. *)
 
 val drop_head : 'a t -> unit
 (** Remove the entry {!top} returned (no-op if none is staged). Only
-    meaningful directly after {!top}/{!peek} returned an entry. *)
+    meaningful directly after {!top} returned an entry. *)
 
 val filter_in_place : 'a t -> ('a -> bool) -> unit
 (** Drop every entry failing the predicate (used to purge cancelled
     events); O(n). *)
-
-val clear : 'a t -> unit
-
-val to_list_unordered : 'a t -> 'a list
-(** All entries, in unspecified order (for inspection/tests). *)

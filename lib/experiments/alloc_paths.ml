@@ -126,7 +126,7 @@ let run_deadline_touch ~n ~k ~rounds =
    window); the measured window is the firing itself — parcel
    expansion, delivery upcalls, slot recycling. *)
 let run_regional_fanout ~regions ~per_region ~batches =
-  let sims = Array.init regions (fun _ -> Engine.Sim.create ~wheel:false ()) in
+  let sims = Array.init regions (fun _ -> Engine.Sim.create ()) in
   let delivered = ref 0 in
   (* one slot pool: the gate measures a shard's own steady state —
      post pops the same free list fire recycles into. (With one pool
@@ -172,9 +172,9 @@ let run_regional_fanout ~regions ~per_region ~batches =
 (* The two repair-serving gates run the full record path: a
    preallocated request record is injected straight into the serving
    member (the pooled-delivery contract), the buffered payload is
-   served through the wire arena, and the pooled network delivers the
-   repair. Latency sampling, wheel scheduling and stats put these paths
-   above zero by design; the budget documents the bound. *)
+   served in a fresh repair cell, and the pooled network delivers the
+   repair. The cell, latency sampling, wheel scheduling and stats put
+   these paths above zero by design; the budget documents the bound. *)
 
 let repair_group ~topology =
   let group = Rrmp.Group.create ~seed:7 ~config:Rrmp.Config.default ~topology () in
@@ -235,7 +235,7 @@ let run_remote_repair ~ops =
     ~ops
 
 (* Codec gates: the per-datagram cost of the real-traffic backend.
-   Encode writes an interned 1 KiB Data frame into a preallocated
+   Encode writes one prebuilt 1 KiB Data frame into a preallocated
    buffer; decode revalidates those bytes through a pooled decoder via
    [Codec.read] — the status is a constant constructor and no [Wire.t]
    is materialized, exactly what [Udp_loopback.drain] does before

@@ -75,7 +75,6 @@ type t = {
   view : View.t;
   recv : Recv_log.t;
   buffer : Buffer.t;
-  arena : Wire_arena.t;  (* interned hot-path wire cells *)
   observer : Events.observer option;
   observing : bool;  (* [observer <> None]: gates event construction *)
   recoveries : recovery Msg_id.Table.t;
@@ -220,6 +219,27 @@ let discard t id ~phase =
      if t.observing then emit t (Events.Discarded { id; phase; buffered_for = duration })
    | None -> ())
 
+(* every entry that becomes long-term (idle promotion, either handoff
+   branch, forced state) comes through here, so its eventual discard
+   under [long_term_lifetime] is armed however it got the role *)
+let arm_lifetime t id =
+  match t.config.Config.long_term_lifetime with
+  | None -> ()
+  | Some lifetime ->
+    let timer =
+      Timer.Idle.create t.sim ~timeout:lifetime ~on_idle:(fun () ->
+          Msg_id.Table.remove t.lifetime_timers id;
+          discard t id ~phase:Buffer.Long_term)
+    in
+    Msg_id.Table.replace t.lifetime_timers id timer
+
+let promote t id =
+  if Buffer.promote t.buffer id then begin
+    if t.observing then emit t (Events.Promoted_long_term id);
+    arm_lifetime t id
+  end
+  else if t.observing then emit t (Events.Promotion_skipped id)
+
 (* the idle threshold elapsed: randomized long-term buffering decision
    (Section 3.2) *)
 let become_idle t id =
@@ -232,22 +252,7 @@ let become_idle t id =
     | Config.Randomized -> Long_term.decide t.rng ~c ~n
     | Config.Hashed -> Long_term.hashed_decide ~node:t.node ~id ~c ~n
   in
-  if keeps then begin
-    if Buffer.promote t.buffer id then begin
-      if t.observing then emit t (Events.Promoted_long_term id);
-      match t.config.Config.long_term_lifetime with
-      | None -> ()
-      | Some lifetime ->
-        let timer =
-          Timer.Idle.create t.sim ~timeout:lifetime ~on_idle:(fun () ->
-              Msg_id.Table.remove t.lifetime_timers id;
-              discard t id ~phase:Buffer.Long_term)
-        in
-        Msg_id.Table.replace t.lifetime_timers id timer
-    end
-    else if t.observing then emit t (Events.Promotion_skipped id)
-  end
-  else discard t id ~phase:Buffer.Short_term
+  if keeps then promote t id else discard t id ~phase:Buffer.Short_term
 
 let start_idle_timer t id =
   let timer =
@@ -324,7 +329,7 @@ let rec local_round t id r =
      | Some q ->
        r.local_tries <- r.local_tries + 1;
        r.last_probe_at <- now t;
-       send t ~dst:q (Wire_arena.local_request t.arena id));
+       send t ~dst:q (Wire.Local_request id));
     r.local_timer <-
       Some (Sim.schedule t.sim ~delay:(local_timeout t) (fun () -> local_round t id r))
   end
@@ -341,7 +346,7 @@ let rec remote_round t id r =
     if Rng.bernoulli t.rng ~p then begin
       match View.random_parent t.view t.rng with
       | None -> ()
-      | Some remote -> send t ~dst:remote (Wire_arena.remote_request t.arena id)
+      | Some remote -> send t ~dst:remote (Wire.Remote_request { id; origin = t.node })
     end;
     r.remote_timer <-
       Some (Sim.schedule t.sim ~delay:(remote_timeout t) (fun () -> remote_round t id r))
@@ -457,7 +462,7 @@ let serve_from_buffer t id ~origin ?ack ~announce () =
   match Buffer.find t.buffer id with
   | None -> ()
   | Some payload ->
-    send t ~dst:origin (Wire_arena.repair t.arena payload);
+    send t ~dst:origin (Wire.Repair payload);
     if t.observing then emit t (Events.Search_satisfied { id; origin });
     if announce then begin
       if not (Msg_id.Table.mem t.have_announced id) then begin
@@ -479,27 +484,29 @@ let relay_to_waiters t payload =
   (match Msg_id.Table.find_opt t.pending_remote id with
    | None -> ()
    | Some waiting ->
-     Origins.iter waiting (fun origin -> send t ~dst:origin (Wire_arena.repair t.arena payload));
+     let repair = Wire.Repair payload in
+     Origins.iter waiting (fun origin -> send t ~dst:origin repair);
      Msg_id.Table.remove t.pending_remote id);
   (* origins of a search we were running: we can serve them directly *)
   match Msg_id.Table.find_opt t.searches id with
   | None -> ()
   | Some s ->
-    Origins.iter s.origins (fun origin -> send t ~dst:origin (Wire_arena.repair t.arena payload));
+    let repair = Wire.Repair payload in
+    Origins.iter s.origins (fun origin -> send t ~dst:origin repair);
     Origins.clear s.origins;
     cancel_search t id
 
 let schedule_regional_repair t payload =
   let id = Payload.id payload in
   match t.config.Config.regional_send with
-  | Config.Immediate -> regional t (Wire_arena.regional_repair t.arena payload)
+  | Config.Immediate -> regional t (Wire.Regional_repair payload)
   | Config.Backoff { max_delay } ->
     if not (Msg_id.Table.mem t.pending_regional id) then begin
       let delay = Rng.float t.rng max_delay in
       let handle =
         Sim.schedule t.sim ~delay (fun () ->
             Msg_id.Table.remove t.pending_regional id;
-            regional t (Wire_arena.regional_repair t.arena payload))
+            regional t (Wire.Regional_repair payload))
       in
       Msg_id.Table.add t.pending_regional id handle
     end
@@ -557,7 +564,7 @@ let handle_local_request t id ~src =
   if Buffer.mem t.buffer id then begin
     touch_feedback t id;
     match Buffer.find t.buffer id with
-    | Some payload -> send t ~dst:src (Wire_arena.repair t.arena payload)
+    | Some payload -> send t ~dst:src (Wire.Repair payload)
     | None -> ()
   end
   else if t.observing then
@@ -647,10 +654,7 @@ let handle_handoff t payloads ~src =
           cancel_idle t id;
           (* cancel_idle can fire a pending discard, so the entry may
              be gone by now: promotion of an absent id is a no-op *)
-          if Buffer.promote t.buffer id then begin
-            if t.observing then emit t (Events.Promoted_long_term id)
-          end
-          else if t.observing then emit t (Events.Promotion_skipped id)
+          promote t id
         | Some Buffer.Long_term | None -> ()
       end
       else begin
@@ -661,7 +665,7 @@ let handle_handoff t payloads ~src =
           if t.observing then emit t (Events.Delivered { id; via = `Repair });
           relay_to_waiters t payload
         end;
-        ignore (Buffer.insert t.buffer ~phase:Buffer.Long_term payload);
+        if Buffer.insert t.buffer ~phase:Buffer.Long_term payload then arm_lifetime t id;
         if t.observing then emit t (Events.Buffered { id; phase = Buffer.Long_term })
       end)
     payloads
@@ -713,7 +717,6 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       view;
       recv = Recv_log.create ();
       buffer = Buffer.create ~sim:(Network.sim net);
-      arena = Wire_arena.create ~origin:node ();
       observer;
       observing = observer <> None;
       recoveries = Msg_id.Table.create 16;
@@ -756,7 +759,7 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
 let send_session t =
   if t.next_seq > 0 then
     t.caps.cap_multicast_lossy ~cls:"session" ~src:t.node
-      (Wire_arena.session t.arena ~max_seq:(t.next_seq - 1))
+      (Wire.Session { max_seq = t.next_seq - 1 })
 
 (* a sender starts advertising its highest sequence number once it has
    multicast something (Section 2.1's session messages) *)
@@ -786,13 +789,13 @@ let own_send_bookkeeping t payload =
 let multicast t ?size () =
   let payload = fresh_payload t ~size in
   own_send_bookkeeping t payload;
-  t.caps.cap_multicast_lossy ~cls:"data" ~src:t.node (Wire_arena.data t.arena payload);
+  t.caps.cap_multicast_lossy ~cls:"data" ~src:t.node (Wire.Data payload);
   Payload.id payload
 
 let multicast_reaching t ?size ~reach () =
   let payload = fresh_payload t ~size in
   own_send_bookkeeping t payload;
-  t.caps.cap_multicast ~cls:"data" ~src:t.node ~reach (Wire_arena.data t.arena payload);
+  t.caps.cap_multicast ~cls:"data" ~src:t.node ~reach (Wire.Data payload);
   Payload.id payload
 
 (* ------------------------------------------------------------------ *)
@@ -953,4 +956,4 @@ let force_buffer t ~phase payload =
   if Buffer.insert t.buffer ~phase payload then
     match phase with
     | Buffer.Short_term -> start_retention t id
-    | Buffer.Long_term -> ()
+    | Buffer.Long_term -> arm_lifetime t id

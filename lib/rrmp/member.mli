@@ -168,8 +168,11 @@ val force_received : t -> Protocol.Msg_id.t -> unit
     log, absent from the buffer). *)
 
 val force_buffer : t -> phase:Buffer.phase -> Payload.t -> unit
-(** Mark as received and place it in the buffer in the given phase
-    (short-term entries get a fresh idle timer). *)
+(** Mark as received and place it in the buffer in the given phase:
+    a short-term entry starts its retention clock (the idle timer
+    under [Two_phase]), a long-term entry its
+    {!Config.t.long_term_lifetime} deadline when one is set. An entry
+    already buffered is left as it is. *)
 
 val inject_delivery : t -> Wire.t Netsim.Network.delivery -> unit
 (** Process a delivery exactly as if it had just arrived from the

@@ -12,7 +12,6 @@ module Config = Config
 module Payload = Payload
 module Wire = Wire
 module Codec = Codec
-module Wire_arena = Wire_arena
 module Buffer = Buffer
 module Long_term = Long_term
 module Model = Model

@@ -597,13 +597,10 @@ let create ~seed ~config ~sizes ~parents ~shards ~cap ?(intra_ms = 5.0) ?(inter_
     let m_count = !m_count in
     let metrics = Metrics.create () in
     let obs = match observer with None -> None | Some f -> f s in
-    (* pure-heap scheduler: the spine keeps its mass deadlines in the
-       arena's barrier-driven ring, so the Sim queue holds only
-       recovery timers and parcel arrivals — small and cancel-heavy,
-       where the array-backed heap is allocation-free while the timer
-       wheel pays list conses, bucket sorts and compaction filters on
-       every recovery round *)
-    let sim = Sim.create ~wheel:false () in
+    (* the spine keeps its mass deadlines in the arena's
+       barrier-driven ring, so this Sim queue holds only recovery
+       timers and parcel arrivals *)
+    let sim = Sim.create () in
     let soa =
       Member_soa.create ~now:(Sim.now sim) ~n:m_count ~cap ~quantum ~idle_timeout
         ~lifetime:config.Config.long_term_lifetime

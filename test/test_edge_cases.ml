@@ -143,6 +143,35 @@ let test_handoff_to_short_term_holder_promotes () =
   Alcotest.(check bool) "short-term holder took the long-term role" true
     (Member.buffer_phase (Group.member group (Node_id.of_int 1)) id = Some Buffer.Long_term)
 
+(* every way into the long-term phase arms [long_term_lifetime]: a
+   handoff to a member holding the message short-term (promotion), a
+   handoff of a message the member does not hold (insertion), and
+   forced state *)
+let test_handoff_entries_honour_lifetime () =
+  let topology = Topology.single_region ~size:2 in
+  let config = { Config.default with Config.long_term_lifetime = Some 100.0 } in
+  let group = Group.create ~seed:9 ~config ~topology () in
+  let leaver = Group.member group (Node_id.of_int 0) in
+  let heir = Group.member group (Node_id.of_int 1) in
+  let promoted = mid 0 and inserted = mid 1 and forced = mid 2 in
+  Member.force_buffer heir ~phase:Buffer.Short_term (Rrmp.Payload.make promoted);
+  Member.force_buffer heir ~phase:Buffer.Long_term (Rrmp.Payload.make forced);
+  List.iter
+    (fun id -> Member.force_buffer leaver ~phase:Buffer.Long_term (Rrmp.Payload.make id))
+    [ promoted; inserted ];
+  Group.leave group (Node_id.of_int 0);
+  let check_all what expected =
+    List.iter
+      (fun (name, id) ->
+        Alcotest.(check bool) (Printf.sprintf "%s %s" name what) true
+          (Member.buffer_phase heir id = expected))
+      [ ("promoted", promoted); ("inserted", inserted); ("forced", forced) ]
+  in
+  Group.run ~until:50.0 group;
+  check_all "long-term" (Some Buffer.Long_term);
+  Group.run ~until:10_000.0 group;
+  check_all "expired" None
+
 (* --- multi-sender sessions ------------------------------------------ *)
 
 let test_two_senders () =
@@ -222,6 +251,8 @@ let suites =
         Alcotest.test_case "empty buffer" `Quick test_leave_with_empty_buffer_sends_nothing;
         Alcotest.test_case "batched per target" `Quick test_leave_batches_handoff_per_target;
         Alcotest.test_case "promotes short-term holder" `Quick test_handoff_to_short_term_holder_promotes;
+        Alcotest.test_case "long-term entries honour lifetime" `Quick
+          test_handoff_entries_honour_lifetime;
       ] );
     ( "rrmp.edge.multi_sender",
       [ Alcotest.test_case "two senders" `Quick test_two_senders ] );

@@ -455,12 +455,26 @@ let test_sim_far_future_heap_fallback () =
   Alcotest.(check (list string)) "near first" [ "near"; "far"; "farther" ] (List.rev !log);
   check_float "clock at last" 3_000_000.0 (Sim.now sim)
 
-(* Wheel/heap scheduler equivalence: any randomized mix of schedules
-   (near, tie-prone, beyond-horizon), cancels, reschedules-on-fire (the
-   RRMP idle-reset shape) and partial runs must produce the same firing
-   log, clock and event count whether or not the wheel is enabled. *)
-let sim_trace ~wheel ops =
-  let sim = Sim.create ~wheel () in
+(* Scheduler equivalence: any randomized mix of schedules (near,
+   tie-prone, beyond the wheel's horizon), single and burst cancels,
+   reschedules-on-fire (the RRMP idle-reset shape) and partial runs,
+   bounded by time or by event count, must produce the same firing log,
+   clock and event count from the wheel-backed Sim as from the single
+   ordered queue of test/reference_sim.ml. *)
+module type SCHED = sig
+  type t
+  type handle
+
+  val create : ?now:float -> unit -> t
+  val now : t -> float
+  val schedule : t -> delay:float -> (unit -> unit) -> handle
+  val cancel : handle -> unit
+  val run : ?until:float -> ?max_events:int -> t -> unit
+  val events_executed : t -> int
+end
+
+let sim_trace (module S : SCHED) ops =
+  let sim = S.create () in
   let log = ref [] in
   let handles = ref [] in
   let n_handles = ref 0 in
@@ -469,8 +483,8 @@ let sim_trace ~wheel ops =
     let label = !next_label in
     incr next_label;
     let h =
-      Sim.schedule sim ~delay (fun () ->
-          log := (label, Sim.now sim) :: !log;
+      S.schedule sim ~delay (fun () ->
+          log := (label, S.now sim) :: !log;
           (* every third event reschedules itself once, like an idle
              timer being touched by traffic *)
           if label mod 3 = 0 && label < 2000 then
@@ -481,21 +495,26 @@ let sim_trace ~wheel ops =
   in
   List.iter
     (fun (tag, v) ->
-      match tag mod 6 with
+      match tag mod 8 with
       | 0 | 1 -> sched (float_of_int (v mod 2000) *. 0.75)
       | 2 -> sched (float_of_int (v mod 13) /. 4.0) (* tie-prone *)
       | 3 -> sched (1_000_000.0 +. float_of_int v) (* near/beyond horizon *)
       | 4 ->
-        if !n_handles > 0 then Sim.cancel (List.nth !handles (v mod !n_handles))
-      | _ -> Sim.run ~until:(Sim.now sim +. float_of_int (v mod 300)) sim)
+        if !n_handles > 0 then S.cancel (List.nth !handles (v mod !n_handles))
+      | 5 ->
+        (* a burst of cancels on the newest handles: enough cancelled
+           entries to reach the compaction trigger *)
+        List.iteri (fun i h -> if i < v mod 48 then S.cancel h) !handles
+      | 6 -> S.run ~until:(S.now sim +. float_of_int (v mod 300)) sim
+      | _ -> S.run ~max_events:(S.events_executed sim + (v mod 5)) sim)
     ops;
-  Sim.run sim;
-  (List.rev !log, Sim.now sim, Sim.events_executed sim)
+  S.run sim;
+  (List.rev !log, S.now sim, S.events_executed sim)
 
 let qcheck_sim_wheel_equivalence =
   QCheck.Test.make ~name:"wheel and heap schedulers are equivalent" ~count:1000
     QCheck.(list (pair small_nat (int_bound 10_000)))
-    (fun ops -> sim_trace ~wheel:true ops = sim_trace ~wheel:false ops)
+    (fun ops -> sim_trace (module Sim) ops = sim_trace (module Reference_sim) ops)
 
 (* ------------------------------------------------------------------ *)
 (* Timer                                                               *)

@@ -17,7 +17,6 @@ let () =
          Test_parallel.suites;
          Test_shard.suites;
          Test_properties.suites;
-         Test_wire_arena.suites;
          Test_codec.suites;
          Test_net.suites;
          Test_alloc_gates.suites;

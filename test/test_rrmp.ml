@@ -339,6 +339,30 @@ let test_long_term_lifetime_discard () =
   Alcotest.(check int) "all eventually discard" 0 (Group.count_buffered group id);
   Alcotest.(check bool) "still received" true (Group.received_by_all group id)
 
+(* with no long-term bufferers, a message every member has discarded
+   must not stay reachable: no per-member cache of sent wire cells and
+   no table keyed by id may pin its body *)
+let test_discarded_body_collectable () =
+  let topology = Topology.single_region ~size:8 in
+  let config = { Config.default with Config.expected_bufferers = 0.0 } in
+  let group = Group.create ~seed:11 ~config ~topology () in
+  let first = Weak.create 1 in
+  let id = Group.multicast group () in
+  (* the sender buffers the very body it sent *)
+  Weak.set first 0 (Buffer.find (Member.buffer (Group.sender group)) id);
+  Alcotest.(check bool) "body watched" true (Weak.check first 0);
+  (* later traffic, 100 ms apart, takes over the network's recycled
+     parcels that carried message 0 *)
+  for k = 1 to 49 do
+    Group.run ~until:(100.0 *. float_of_int k) group;
+    ignore (Group.multicast group () : Msg_id.t)
+  done;
+  Group.run group;
+  Alcotest.(check int) "every body discarded" 0 (Group.total_buffered_messages group);
+  Gc.full_major ();
+  Alcotest.(check bool) "first body collected" false (Weak.check first 0);
+  ignore (Sys.opaque_identity group)
+
 (* ------------------------------------------------------------------ *)
 (* Search for bufferers (Section 3.3)                                  *)
 (* ------------------------------------------------------------------ *)
@@ -598,6 +622,7 @@ let suites =
         Alcotest.test_case "feedback extends buffering" `Quick test_feedback_extends_buffering;
         Alcotest.test_case "sender buffers own" `Quick test_sender_buffers_own_message;
         Alcotest.test_case "long-term lifetime" `Quick test_long_term_lifetime_discard;
+        Alcotest.test_case "discarded body collectable" `Quick test_discarded_body_collectable;
       ] );
     ( "rrmp.search",
       [
