@@ -1,22 +1,11 @@
 (* Member capabilities over a real transport: IP multicast does not
-   exist on loopback, so the three multicast primitives expand to
-   per-destination datagrams at the transport boundary (the fan-out a
-   multicast-capable NIC would do for us). Sends ignore the traffic
-   class — the transport accounts bytes, not classes. *)
+   exist on loopback, so each multicast primitive is one
+   Udp_loopback.fanout, encoded once and sent as one datagram per
+   destination (the fan-out a multicast-capable NIC would do for us).
+   Sends ignore the traffic class — the transport accounts bytes, not
+   classes. *)
 
-let rec fanout transport nodes src msg i n =
-  if i < n then begin
-    let dst = Array.unsafe_get nodes i in
-    if not (Node_id.equal dst src) then Udp_loopback.send transport ~src ~dst msg;
-    fanout transport nodes src msg (i + 1) n
-  end
-
-let rec fanout_reaching transport nodes src reach msg i n =
-  if i < n then begin
-    let dst = Array.unsafe_get nodes i in
-    if (not (Node_id.equal dst src)) && reach dst then Udp_loopback.send transport ~src ~dst msg;
-    fanout_reaching transport nodes src reach msg (i + 1) n
-  end
+let every _ = true
 
 let udp ~transport ~clock ~topology : Rrmp.Member.caps =
   let all = Udp_loopback.nodes transport in
@@ -25,9 +14,9 @@ let udp ~transport ~clock ~topology : Rrmp.Member.caps =
     cap_unicast = (fun ~cls:_ ~src ~dst msg -> Udp_loopback.send transport ~src ~dst msg);
     cap_regional =
       (fun ~cls:_ ~src ~region msg ->
-        let members = Topology.members topology region in
-        fanout transport members src msg 0 (Array.length members));
+        Udp_loopback.fanout transport ~src (Topology.members topology region) ~keep:every msg);
     cap_multicast =
-      (fun ~cls:_ ~src ~reach msg -> fanout_reaching transport all src reach msg 0 (Array.length all));
-    cap_multicast_lossy = (fun ~cls:_ ~src msg -> fanout transport all src msg 0 (Array.length all));
+      (fun ~cls:_ ~src ~reach msg -> Udp_loopback.fanout transport ~src all ~keep:reach msg);
+    cap_multicast_lossy =
+      (fun ~cls:_ ~src msg -> Udp_loopback.fanout transport ~src all ~keep:every msg);
   }

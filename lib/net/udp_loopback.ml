@@ -3,16 +3,18 @@
    parallel test runs included) and the port learned from getsockname
    identifies the sender on receipt.
 
-   Hot-path discipline: sends encode into a preallocated Codec.Ring
-   slot and cross into the kernel through one reused Bytes scratch
-   (the Unix sendto/recvfrom API takes Bytes, not Bigarray — the blit
-   is a plain char loop); receives land in one scratch, are validated
-   by a pooled Codec decoder, and only materialize a Wire.t (fresh
-   payload bodies, safe for the member to retain) once the frame has
-   passed validation. Loss injection for controlled experiments sits
-   on the send side — a dropped datagram never costs a syscall — and
-   is driven by an explicit seeded Rng, so a loss schedule is
-   reproducible for a fixed send sequence. *)
+   Hot-path discipline: a transmission, however many destinations it
+   fans out to, is encoded once into one send frame and copied once
+   into the reused Bytes scratch the kernel reads (the Unix
+   sendto/recvfrom API takes Bytes, not Bigarray; the copy is the
+   codec's word-wide blit); receives land in one scratch, are
+   validated by a pooled Codec decoder, and only materialize a Wire.t
+   (fresh payload bodies, safe for the member to retain) once the
+   frame has passed validation. Loss injection for controlled
+   experiments sits on the send side — a dropped datagram never costs
+   a syscall — and is driven by an explicit seeded Rng, drawn once per
+   destination in send order, so a loss schedule is reproducible for a
+   fixed send sequence. *)
 
 type t = {
   nodes : Node_id.t array;
@@ -20,7 +22,7 @@ type t = {
   addrs : Unix.sockaddr array;  (* indexed like [nodes] *)
   index_of : (int, int) Hashtbl.t;  (* node id -> index *)
   port_of : (int, int) Hashtbl.t;  (* udp port -> index *)
-  ring : Rrmp.Codec.Ring.t;
+  send_frame : Rrmp.Codec.buf;
   send_scratch : Bytes.t;
   recv_scratch : Bytes.t;
   recv_frame : Rrmp.Codec.buf;
@@ -75,7 +77,7 @@ let create ?(loss = 0.0) ?(seed = 0x6e6574) ?(slot_bytes = 65536) ~nodes () =
     addrs;
     index_of;
     port_of;
-    ring = Rrmp.Codec.Ring.create ~slot_bytes ~slots:4 ();
+    send_frame = Bigarray.Array1.create Bigarray.char Bigarray.c_layout slot_bytes;
     send_scratch = Bytes.create slot_bytes;
     recv_scratch = Bytes.create slot_bytes;
     recv_frame = Bigarray.Array1.create Bigarray.char Bigarray.c_layout slot_bytes;
@@ -91,49 +93,54 @@ let index_exn t node =
   | Some i -> i
   | None -> invalid_arg "Udp_loopback: node not part of this transport"
 
-(* annotating [frame] keeps the bigarray access monomorphic (direct
-   load/store instead of the generic kind-dispatch primitive) *)
-let rec blit_out (frame : Rrmp.Codec.buf) off (scratch : Bytes.t) i n =
-  if i < n then begin
-    Bytes.unsafe_set scratch i (Bigarray.Array1.unsafe_get frame (off + i));
-    blit_out frame off scratch (i + 1) n
+(* encode [msg] into the send frame and copy it into the scratch:
+   once per transmission, whatever its fan-out. Returns the frame
+   size, or -1 when the frame does not fit a slot. *)
+let stage t msg =
+  let size = Rrmp.Codec.encoded_size msg in
+  if size > Bytes.length t.send_scratch then -1
+  else begin
+    ignore (Rrmp.Codec.encode t.send_frame ~off:0 msg : int);
+    Rrmp.Codec.unsafe_blit_to_bytes t.send_frame 0 t.send_scratch 0 size;
+    size
   end
 
-let rec blit_in (scratch : Bytes.t) (frame : Rrmp.Codec.buf) i n =
-  if i < n then begin
-    Bigarray.Array1.unsafe_set frame i (Bytes.unsafe_get scratch i);
-    blit_in scratch frame (i + 1) n
-  end
+(* one datagram of the staged frame; the loss draw comes first, so the
+   seeded schedule does not depend on frame sizes *)
+let transmit t src_i dst_i size =
+  if t.loss > 0.0 && Engine.Rng.bernoulli t.rng ~p:t.loss then
+    t.st.Transport.dropped_loss <- t.st.Transport.dropped_loss + 1
+  else if size < 0 then t.st.Transport.dropped_oversize <- t.st.Transport.dropped_oversize + 1
+  else
+    match Unix.sendto t.socks.(src_i) t.send_scratch 0 size [] t.addrs.(dst_i) with
+    | _written ->
+      t.st.Transport.datagrams_sent <- t.st.Transport.datagrams_sent + 1;
+      t.st.Transport.bytes_sent <- t.st.Transport.bytes_sent + size
+    | exception
+        Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ENOBUFS | Unix.ECONNREFUSED), _, _) ->
+      t.st.Transport.dropped_backpressure <- t.st.Transport.dropped_backpressure + 1
 
 let send t ~src ~dst msg =
   if not t.closed then begin
     let src_i = index_exn t src in
     let dst_i = index_exn t dst in
-    if t.loss > 0.0 && Engine.Rng.bernoulli t.rng ~p:t.loss then
-      t.st.Transport.dropped_loss <- t.st.Transport.dropped_loss + 1
-    else begin
-      let size = Rrmp.Codec.encoded_size msg in
-      if size > Rrmp.Codec.Ring.slot_bytes t.ring then
-        t.st.Transport.dropped_oversize <- t.st.Transport.dropped_oversize + 1
-      else begin
-        let frame = Rrmp.Codec.Ring.buf t.ring in
-        let off = Rrmp.Codec.Ring.acquire t.ring in
-        let size = Rrmp.Codec.encode frame ~off msg in
-        blit_out frame off t.send_scratch 0 size;
-        match Unix.sendto t.socks.(src_i) t.send_scratch 0 size [] t.addrs.(dst_i) with
-        | _written ->
-          t.st.Transport.datagrams_sent <- t.st.Transport.datagrams_sent + 1;
-          t.st.Transport.bytes_sent <- t.st.Transport.bytes_sent + size
-        | exception
-            Unix.Unix_error ((Unix.EWOULDBLOCK | Unix.EAGAIN | Unix.ENOBUFS | Unix.ECONNREFUSED), _, _)
-          ->
-          t.st.Transport.dropped_backpressure <- t.st.Transport.dropped_backpressure + 1
-      end
-    end
+    transmit t src_i dst_i (stage t msg)
   end
 
-(* drain one socket until the kernel reports it empty; -1 from the
-   receive means dry *)
+let fanout t ~src dsts ~keep msg =
+  if not t.closed then begin
+    let src_i = index_exn t src in
+    let size = stage t msg in
+    for k = 0 to Array.length dsts - 1 do
+      let dst = dsts.(k) in
+      if (not (Node_id.equal dst src)) && keep dst then transmit t src_i (index_exn t dst) size
+    done
+  end
+
+(* one receive: (-1, _) when the socket is dry, (_, -1) when the
+   kernel reported something other than a datagram (ECONNREFUSED is
+   the ICMP echo of an earlier send), else (length, sender port) —
+   zero-length datagrams included *)
 let[@lint.never_raise] recv_one t i =
   match Unix.recvfrom t.socks.(i) t.recv_scratch 0 (Bytes.length t.recv_scratch) [] with
   | n, Unix.ADDR_INET (_, sender_port) -> (n, sender_port)
@@ -150,11 +157,10 @@ let[@lint.never_raise] drain t ~handle =
       while not !dry do
         let n, sender_port = recv_one t i in
         if n < 0 then dry := true
-        else if n = 0 then ()
-        else begin
+        else if sender_port >= 0 then begin
           t.st.Transport.datagrams_received <- t.st.Transport.datagrams_received + 1;
           t.st.Transport.bytes_received <- t.st.Transport.bytes_received + n;
-          blit_in t.recv_scratch t.recv_frame 0 n;
+          Rrmp.Codec.unsafe_blit_of_bytes t.recv_scratch 0 t.recv_frame 0 n;
           match Rrmp.Codec.read t.dec t.recv_frame ~off:0 ~len:n with
           | Rrmp.Codec.Err _ ->
             t.st.Transport.decode_errors <- t.st.Transport.decode_errors + 1

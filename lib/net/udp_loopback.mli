@@ -3,8 +3,9 @@
     One socket per member, bound to an ephemeral port (learned back
     through getsockname, so parallel runs never collide); the sender
     of a received datagram is identified by its source port. Frames
-    travel through {!Rrmp.Codec}: sends encode into a preallocated
-    ring, receives validate through a pooled decoder and only
+    travel through {!Rrmp.Codec}: each transmission is encoded once
+    into a preallocated send frame, however many datagrams it fans
+    out to; receives validate through a pooled decoder and only
     materialize messages that parse — corrupt or foreign datagrams
     are counted, never raised.
 
@@ -28,6 +29,19 @@ val send : t -> src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit
     in {!stats}, not raised.
     @raise Invalid_argument if either node is not part of this
     transport. *)
+
+val fanout :
+  t -> src:Node_id.t -> Node_id.t array -> keep:(Node_id.t -> bool) -> Rrmp.Wire.t -> unit
+(** [fanout t ~src dsts ~keep msg] sends [msg] to every [dst] of
+    [dsts] other than [src] for which [keep dst] holds: the loopback
+    stand-in for one multicast. The frame is encoded and staged once;
+    then, per destination in array order, loss is drawn and the
+    datagram sent exactly as {!send} would, so the seeded drop
+    schedule and every {!stats} counter equal those of the same
+    {!send}s made one by one. [keep] must not send on [t]: the staged
+    frame is shared across the whole fan-out.
+    @raise Invalid_argument if [src] or a kept destination is not
+    part of this transport. *)
 
 val drain : t -> handle:(src:Node_id.t -> dst:Node_id.t -> Rrmp.Wire.t -> unit) -> int
 (** Pump every socket until the kernel reports it empty, decoding and

@@ -129,14 +129,49 @@ let header_sum b off = header_sum_from b off 0 0x9e37
 
 let rec zero_fill b off n = if n > 0 then begin set8 b off 0; zero_fill b (off + 1) (n - 1) end
 
-(* the [buf] annotations matter: an unconstrained bigarray parameter
-   stays polymorphic in kind and layout, and every unsafe_get/set then
-   compiles to the generic runtime-dispatch primitive — measured ~8x
-   slower than the monomorphic direct load/store *)
-let rec blit_body (src : buf) (b : buf) off i n =
-  if i < n then begin
-    Bigarray.Array1.unsafe_set b (off + i) (Bigarray.Array1.unsafe_get src i);
-    blit_body src b off (i + 1) n
+(* Word-wide copies for every body and frame move on the datagram
+   path: eight bytes per step, a byte loop for the last [len mod 8].
+   The u-suffixed primitives skip the bounds check and allow any
+   alignment, a native-endian load/store pair is a plain byte copy on
+   any host, and the int64 never leaves the pair, so it stays unboxed.
+   Annotate every [buf]: an unconstrained bigarray parameter compiles
+   each access to the generic dispatch primitive, measured ~8x slower. *)
+external get64 : buf -> int -> int64 = "%caml_bigstring_get64u"
+
+external set64 : buf -> int -> int64 -> unit = "%caml_bigstring_set64u"
+
+external bytes_get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+
+external bytes_set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let rec blit (src : buf) soff (dst : buf) doff len =
+  if len >= 8 then begin
+    set64 dst doff (get64 src soff);
+    blit src (soff + 8) dst (doff + 8) (len - 8)
+  end
+  else if len > 0 then begin
+    Bigarray.Array1.unsafe_set dst doff (Bigarray.Array1.unsafe_get src soff);
+    blit src (soff + 1) dst (doff + 1) (len - 1)
+  end
+
+let rec unsafe_blit_to_bytes (src : buf) soff dst doff len =
+  if len >= 8 then begin
+    bytes_set64 dst doff (get64 src soff);
+    unsafe_blit_to_bytes src (soff + 8) dst (doff + 8) (len - 8)
+  end
+  else if len > 0 then begin
+    Bytes.unsafe_set dst doff (Bigarray.Array1.unsafe_get src soff);
+    unsafe_blit_to_bytes src (soff + 1) dst (doff + 1) (len - 1)
+  end
+
+let rec unsafe_blit_of_bytes src soff (dst : buf) doff len =
+  if len >= 8 then begin
+    set64 dst doff (bytes_get64 src soff);
+    unsafe_blit_of_bytes src (soff + 8) dst (doff + 8) (len - 8)
+  end
+  else if len > 0 then begin
+    Bigarray.Array1.unsafe_set dst doff (Bytes.unsafe_get src soff);
+    unsafe_blit_of_bytes src (soff + 1) dst (doff + 1) (len - 1)
   end
 
 (* ------------------------------------------------------------------ *)
@@ -181,7 +216,7 @@ let encode_payload b ~off ~tag p =
   write_header b off ~tag ~var_len:n
     ~source_i:(Node_id.to_int (Protocol.Msg_id.source pid))
     ~seq_i:(Protocol.Msg_id.seq pid) ~count:0;
-  blit_body (Payload.body p) b (off + header_bytes) 0 n
+  blit (Payload.body p) 0 b (off + header_bytes) n
 
 (* control frame whose only content is the message id *)
 let encode_id_control b ~off ~tag mid =
@@ -208,7 +243,7 @@ let rec encode_handoff_entries b cursor = function
     set_u64 b cursor (Node_id.to_int (Protocol.Msg_id.source pid));
     set_u64 b (cursor + 8) (Protocol.Msg_id.seq pid);
     set_u64 b (cursor + 16) n;
-    blit_body (Payload.body p) b (cursor + 24) 0 n;
+    blit (Payload.body p) 0 b (cursor + 24) n;
     encode_handoff_entries b (cursor + 24 + n) rest
 
 let encode_handoff b ~off payloads ~size =
@@ -406,19 +441,13 @@ let[@lint.never_raise] read d b ~off ~len =
 (* Materializing a read frame                                          *)
 (* ------------------------------------------------------------------ *)
 
-let fresh_copy (b : buf) off len : buf =
-  let body = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
-  let rec go i =
-    if i < len then begin
-      Bigarray.Array1.unsafe_set body i (Bigarray.Array1.unsafe_get b (off + i));
-      go (i + 1)
-    end
-  in
-  go 0;
-  body
-
 let slice ~copy b off len =
-  if copy then fresh_copy b off len else Bigarray.Array1.sub b off len
+  if copy then begin
+    let body = Bigarray.Array1.create Bigarray.char Bigarray.c_layout len in
+    blit b off body 0 len;
+    body
+  end
+  else Bigarray.Array1.sub b off len
 
 let payload_at ~copy b ~source_i ~seq_i ~body_off ~body_len =
   let mid = Protocol.Msg_id.make ~source:(Node_id.of_int source_i) ~seq:seq_i in
@@ -483,33 +512,3 @@ let view d ~copy =
 let decode ?(copy = true) b ~off ~len =
   let d = create_decoder () in
   match read d b ~off ~len with Ok_frame -> Ok (view d ~copy) | Err e -> Error e
-
-(* ------------------------------------------------------------------ *)
-(* Preallocated encode ring                                            *)
-(* ------------------------------------------------------------------ *)
-
-module Ring = struct
-  type t = { rbuf : buf; slot_bytes : int; slots : int; mutable next : int }
-
-  let create ?(slot_bytes = 65536) ?(slots = 16) () =
-    if slot_bytes < control_bytes then invalid_arg "Codec.Ring.create: slot below 64 bytes";
-    if slots < 1 then invalid_arg "Codec.Ring.create: need at least one slot";
-    {
-      rbuf = Bigarray.Array1.create Bigarray.char Bigarray.c_layout (slot_bytes * slots);
-      slot_bytes;
-      slots;
-      next = 0;
-    }
-
-  let buf t = t.rbuf
-
-  let slot_bytes t = t.slot_bytes
-
-  let slots t = t.slots
-
-  let acquire t =
-    let off = t.next * t.slot_bytes in
-    t.next <- t.next + 1;
-    if t.next = t.slots then t.next <- 0;
-    off
-end

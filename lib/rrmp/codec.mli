@@ -80,9 +80,9 @@ val view : decoder -> copy:bool -> Wire.t
 (** Materialize the last successfully read frame. With [copy:false],
     payload bodies are zero-copy sub-slices of the read buffer — valid
     only until the caller reuses that storage (a transport's receive
-    scratch, a {!Ring} slot); with [copy:true] bodies are fresh
-    off-heap allocations safe to retain (what a member's buffer
-    needs). Control frames never reference the buffer after [view].
+    frame); with [copy:true] bodies are fresh off-heap allocations
+    safe to retain (what a member's buffer needs). Control frames
+    never reference the buffer after [view].
     @raise Invalid_argument if the last {!read} did not return
     [Ok_frame]. *)
 
@@ -91,25 +91,13 @@ val decode : ?copy:bool -> buf -> off:int -> len:int -> (Wire.t, error) result
     to [true]. Never raises on arbitrary bytes (the fuzz suite's
     entry point). *)
 
-(** A preallocated ring of encode slots: acquire an offset, encode into
-    it, hand the bytes to the transport before the ring wraps around.
-    Acquisition is an int bump — no allocation, no ownership handles;
-    the slot count bounds how many in-flight frames may coexist. *)
-module Ring : sig
-  type t
+val unsafe_blit_to_bytes : buf -> int -> Bytes.t -> int -> int -> unit
+(** [unsafe_blit_to_bytes src soff dst doff len] copies [len] bytes
+    with the codec's own word-wide copy (eight bytes per load/store,
+    any alignment): how a transport moves an encoded frame into the
+    [Bytes] a socket call takes. No bounds checks — the caller
+    guarantees both ranges lie inside their buffers. *)
 
-  val create : ?slot_bytes:int -> ?slots:int -> unit -> t
-  (** Defaults: 16 slots of 64 KiB (a slot must hold the largest frame
-      you encode; 64 KiB covers any UDP datagram).
-      @raise Invalid_argument on a slot below 64 bytes or zero slots. *)
-
-  val buf : t -> buf
-  (** The shared backing storage all slots live in. *)
-
-  val slot_bytes : t -> int
-
-  val slots : t -> int
-
-  val acquire : t -> int
-  (** Next slot's offset into {!buf}; wraps around. *)
-end
+val unsafe_blit_of_bytes : Bytes.t -> int -> buf -> int -> int -> unit
+(** The reverse copy, for a received datagram on its way to {!read};
+    same contract. *)

@@ -88,6 +88,53 @@ let test_round_trip_units () =
         [ 0; 128 ])
     (examples ())
 
+(* the word-wide copies at every alignment: bodies of 0..40 bytes
+   (every residue mod 8, up to five words) at frame offsets 0..8, each
+   encoded into a guard-filled buffer, carried through the Bytes
+   staging copies and back, and decoded with copied bodies. Each
+   buffer has its own guard byte, so a copy that runs long, short or
+   misaligned changes a guard or breaks the body pattern. *)
+let test_word_copies_every_alignment () =
+  let guarded guard n =
+    let b = fresh_buf n in
+    Bigarray.Array1.fill b guard;
+    b
+  in
+  let check_guards what guard get len ~off ~size =
+    for i = 0 to len - 1 do
+      if (i < off || i >= off + size) && not (Char.equal (get i) guard) then
+        Alcotest.failf "%s: byte %d outside [%d, %d) changed" what i off (off + size)
+    done
+  in
+  let decodes what b ~off ~size ~body =
+    match Codec.decode ~copy:true b ~off ~len:size with
+    | Ok (Wire.Data p) ->
+      Alcotest.(check int) (what ^ ": body size") body (Payload.size p);
+      Alcotest.(check bool) (what ^ ": body intact") true (Payload.intact p)
+    | Ok _ -> Alcotest.failf "%s: decoded to another constructor" what
+    | Error e -> Alcotest.failf "%s: %s" what (Codec.error_to_string e)
+  in
+  for body = 0 to 40 do
+    let size = Codec.encoded_size (Wire.Data (Payload.make ~size:body (mid 0))) in
+    for off = 0 to 8 do
+      let msg = Wire.Data (Payload.make ~size:body (mid ~source:off body)) in
+      let what = Printf.sprintf "body %d at offset %d" body off in
+      let len = off + size + 16 in
+      let b = guarded '\xa5' len in
+      Alcotest.(check int) "encode returns the frame size" size (Codec.encode b ~off msg);
+      check_guards (what ^ ", encoded") '\xa5' (Bigarray.Array1.get b) len ~off ~size;
+      decodes what b ~off ~size ~body;
+      let boff = 8 - off in
+      let staged = Bytes.make len '\x5a' in
+      Codec.unsafe_blit_to_bytes b off staged boff size;
+      check_guards (what ^ ", staged") '\x5a' (Bytes.get staged) len ~off:boff ~size;
+      let back = guarded '\xc3' len in
+      Codec.unsafe_blit_of_bytes staged boff back off size;
+      check_guards (what ^ ", received") '\xc3' (Bigarray.Array1.get back) len ~off ~size;
+      decodes (what ^ ", received") back ~off ~size ~body
+    done
+  done
+
 let test_zero_copy_aliases () =
   let payload = Payload.make ~size:64 (mid 0) in
   let msg = Wire.Data payload in
@@ -285,6 +332,8 @@ let suites =
       [
         Alcotest.test_case "encoded_size matches Wire.bytes" `Quick test_sizes_match_wire_bytes;
         Alcotest.test_case "round trips" `Quick test_round_trip_units;
+        Alcotest.test_case "word copies at every alignment" `Quick
+          test_word_copies_every_alignment;
         Alcotest.test_case "zero-copy vs copied bodies" `Quick test_zero_copy_aliases;
         Alcotest.test_case "view without frame raises" `Quick test_view_without_read_raises;
         Alcotest.test_case "encode rejects bad values" `Quick test_encode_rejects_bad_values;

@@ -163,6 +163,102 @@ let test_unknown_node_raises () =
          | exception Invalid_argument _ -> true
          | _ -> false))
 
+(* a fan-out must be indistinguishable from the sends it stands for:
+   same per-destination loss draws in the same order, same counters,
+   same datagrams. Two transports share a loss seed; one fans each
+   message out, the other sends it to the same kept destinations one
+   by one. *)
+let test_fanout_equals_sends () =
+  let n = 6 in
+  let src = node 2 in
+  let dsts = nodes_upto n in
+  let keep round dst = (Node_id.to_int dst + round) mod 3 <> 0 in
+  let messages =
+    List.init 12 (fun round ->
+        if round mod 3 = 2 then Wire.Have (mid round)
+        else Wire.Data (Payload.make ~size:(64 * round) (mid round)))
+  in
+  let run send =
+    with_transport ~loss:0.5 ~seed:5 ~n (fun t ->
+        List.iteri (fun round msg -> send t ~keep:(keep round) msg) messages;
+        let got = ref [] in
+        ignore
+          (Udp.drain t ~handle:(fun ~src ~dst m ->
+               (match m with
+                | Wire.Data p ->
+                  Alcotest.(check bool) "body intact" true (Payload.intact p)
+                | _ -> ());
+               got :=
+                 Format.asprintf "%d>%d %a" (Node_id.to_int src) (Node_id.to_int dst) Wire.pp m
+                 :: !got));
+        let st = Udp.stats t in
+        (Format.asprintf "%a" Transport.pp_stats st, List.sort String.compare !got))
+  in
+  let fanned_stats, fanned = run (fun t ~keep msg -> Udp.fanout t ~src dsts ~keep msg) in
+  let single_stats, single =
+    run (fun t ~keep msg ->
+        Array.iter
+          (fun dst -> if (not (Node_id.equal dst src)) && keep dst then Udp.send t ~src ~dst msg)
+          dsts)
+  in
+  Alcotest.(check string) "same stats" single_stats fanned_stats;
+  Alcotest.(check (list string)) "same datagrams" single fanned;
+  Alcotest.(check bool) "the loss schedule both kept and dropped" true
+    (List.length fanned > 0 && List.length fanned < List.length messages * (n - 1))
+
+(* ------------------------------------------------------------------ *)
+(* Foreign datagrams through a real socket                             *)
+(* ------------------------------------------------------------------ *)
+
+(* send raw datagrams to a member's port from a socket the transport
+   does not know, then drain *)
+let send_foreign t ~dst datagrams =
+  let sock = Unix.socket Unix.PF_INET Unix.SOCK_DGRAM 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close sock)
+    (fun () ->
+      let addr = Unix.ADDR_INET (Unix.inet_addr_loopback, Udp.port t dst) in
+      List.iter
+        (fun d -> ignore (Unix.sendto sock d 0 (Bytes.length d) [] addr : int))
+        datagrams)
+
+let drain_nothing t =
+  Udp.drain t ~handle:(fun ~src:_ ~dst:_ m ->
+      Alcotest.failf "handed up %a" Wire.pp m)
+
+let test_empty_datagram_counted () =
+  with_transport ~n:2 (fun t ->
+      send_foreign t ~dst:(node 1) [ Bytes.empty; Bytes.make 10 'x' ];
+      Alcotest.(check int) "nothing handed up" 0 (drain_nothing t);
+      let st = Udp.stats t in
+      Alcotest.(check int) "both datagrams received" 2 st.Transport.datagrams_received;
+      Alcotest.(check int) "both rejected" 2 st.Transport.decode_errors)
+
+let frame_bytes msg =
+  let size = Rrmp.Codec.encoded_size msg in
+  let b = Bigarray.Array1.create Bigarray.char Bigarray.c_layout size in
+  ignore (Rrmp.Codec.encode b ~off:0 msg : int);
+  Bytes.init size (Bigarray.Array1.get b)
+
+let test_foreign_and_corrupt_datagrams () =
+  let frame = frame_bytes (Wire.Data (Payload.make ~size:200 (mid 3))) in
+  let truncated = Bytes.sub frame 0 (Bytes.length frame - 7) in
+  let flipped = Bytes.copy frame in
+  Bytes.set flipped 9 (Char.chr (Char.code (Bytes.get flipped 9) lxor 0x10));
+  let rng = Engine.Rng.create ~seed:77 in
+  let noise = Bytes.init 120 (fun _ -> Char.chr (Engine.Rng.int rng 256)) in
+  let valid = frame_bytes (Wire.Have (mid 4)) in
+  with_transport ~n:3 (fun t ->
+      send_foreign t ~dst:(node 2) [ truncated; flipped; noise; valid ];
+      Alcotest.(check int) "nothing handed up" 0 (drain_nothing t);
+      let st = Udp.stats t in
+      Alcotest.(check int) "all four received" 4 st.Transport.datagrams_received;
+      Alcotest.(check int) "all four rejected" 4 st.Transport.decode_errors;
+      (* the transport still carries its own traffic afterwards *)
+      Udp.send t ~src:(node 0) ~dst:(node 2) (Wire.Have (mid 5));
+      Alcotest.(check int) "own frame still handed up" 1
+        (Udp.drain t ~handle:(fun ~src:_ ~dst:_ _ -> ())))
+
 (* ------------------------------------------------------------------ *)
 (* Full protocol recovery over real sockets                            *)
 (* ------------------------------------------------------------------ *)
@@ -251,6 +347,10 @@ let suites =
         Alcotest.test_case "seeded loss is deterministic" `Quick
           test_seeded_loss_is_deterministic;
         Alcotest.test_case "unknown node raises" `Quick test_unknown_node_raises;
+        Alcotest.test_case "fan-out equals sends one by one" `Quick test_fanout_equals_sends;
+        Alcotest.test_case "empty datagram counted" `Quick test_empty_datagram_counted;
+        Alcotest.test_case "foreign and corrupt datagrams" `Quick
+          test_foreign_and_corrupt_datagrams;
         Alcotest.test_case "member loss recovery over UDP" `Quick
           test_member_recovery_over_udp;
       ] );
