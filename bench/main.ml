@@ -18,7 +18,7 @@
    Part 4 measures the domain-parallel experiment runner: each
    workload runs once at -j 1 and once at -j N, the two reports are
    required to be byte-identical, and BENCH_parallel.json records the
-   wall-clock pair plus the speedup.
+   wall-clock pair (the speedup is their ratio).
 
    Part 5 (BENCH_scale.json) covers the two scale paths: the classic
    Member path's region-size sweep and its deadline churn (exact
@@ -90,59 +90,6 @@ let bench_rng =
              for _ = 1 to 1000 do
                acc := Int64.add !acc (Engine.Rng.bits64 rng)
              done;
-             !acc));
-  }
-
-let bench_heap =
-  {
-    ops = 2000;
-    test =
-      Bechamel.Test.make ~name:"engine/heap push+pop 1k"
-        (Bechamel.Staged.stage (fun () ->
-             let h = Engine.Heap.create ~dummy:0 ~compare_priority:Int.compare () in
-             for i = 0 to 999 do
-               Engine.Heap.push h ((i * 7919) mod 1000)
-             done;
-             let acc = ref 0 in
-             while not (Engine.Heap.is_empty h) do
-               acc := !acc + Engine.Heap.top h;
-               Engine.Heap.remove_top h
-             done;
-             !acc));
-  }
-
-let bench_heapify =
-  {
-    ops = 1000;
-    test =
-      Bechamel.Test.make ~name:"engine/heap push_list 1k (heapify)"
-        (Bechamel.Staged.stage (fun () ->
-             let h = Engine.Heap.create ~dummy:0 ~compare_priority:Int.compare () in
-             Engine.Heap.push_list h (List.init 1000 (fun i -> (i * 7919) mod 1000));
-             Engine.Heap.length h));
-  }
-
-let bench_wheel =
-  {
-    ops = 2000;
-    test =
-      Bechamel.Test.make ~name:"engine/wheel add+pop 1k"
-        (Bechamel.Staged.stage (fun () ->
-             let w =
-               Engine.Wheel.create ~time_of:float_of_int ~compare:Int.compare ()
-             in
-             for i = 0 to 999 do
-               ignore (Engine.Wheel.add w ((i * 7919) mod 1000))
-             done;
-             let acc = ref 0 in
-             let rec drain () =
-               match Engine.Wheel.pop w with
-               | Some x ->
-                 acc := !acc + x;
-                 drain ()
-               | None -> ()
-             in
-             drain ();
              !acc));
   }
 
@@ -279,8 +226,7 @@ let bench_recovery =
   }
 
 let engine_benches =
-  [ bench_rng; bench_heap; bench_heapify; bench_wheel; bench_sim; bench_sim_cancel;
-    bench_poisson ]
+  [ bench_rng; bench_sim; bench_sim_cancel; bench_poisson ]
 
 let macro_benches =
   [ bench_fig3; bench_fig4; bench_fig6; bench_fig7; bench_fig8; bench_fig9;
@@ -469,7 +415,6 @@ type parallel_result = {
   seq_wall_s : float;
   par_wall_s : float;
   p_jobs : int;
-  speedup : float;
 }
 
 (* trial-heavy workloads: enough independent Monte-Carlo trials that
@@ -500,20 +445,18 @@ let run_parallel ~smoke ~jobs () =
     (fun (p_name, work) ->
       let seq_wall_s = at_jobs 1 (fun () -> timed work) in
       let par_wall_s = at_jobs jobs (fun () -> timed work) in
-      let speedup = seq_wall_s /. Float.max par_wall_s 1e-9 in
-      Format.printf "  %-40s seq %7.3f s  par(-j %d) %7.3f s  speedup %5.2fx@." p_name
-        seq_wall_s jobs par_wall_s speedup;
-      { p_name; seq_wall_s; par_wall_s; p_jobs = jobs; speedup })
+      Format.printf "  %-40s seq %7.3f s  par(-j %d) %7.3f s@." p_name seq_wall_s jobs
+        par_wall_s;
+      { p_name; seq_wall_s; par_wall_s; p_jobs = jobs })
     (parallel_workloads ~smoke)
 
-let parallel_result_json { p_name; seq_wall_s; par_wall_s; p_jobs; speedup } =
+let parallel_result_json { p_name; seq_wall_s; par_wall_s; p_jobs } =
   Tracing.Json.Obj
     [
       ("name", Tracing.Json.String p_name);
       ("seq_wall_s", Tracing.Json.Float seq_wall_s);
       ("par_wall_s", Tracing.Json.Float par_wall_s);
       ("jobs", Tracing.Json.Int p_jobs);
-      ("speedup", Tracing.Json.Float speedup);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -680,15 +623,8 @@ type scale_result = {
   sc_sim_events : int;
   sc_delivered : int;
   sc_minor_words_per_op : float;
-  sc_peak_heap : int; (* Gc top_heap_words sampled after the run *)
   sc_extra : (string * float) option; (* JSON key + value vs the paired row *)
 }
-
-(* process-wide top-of-heap high-water mark (words). Monotone and
-   shared by every row measured so far in this process, so it bounds a
-   row's footprint from above; the 10^6-member rows dominate it, which
-   is what the trajectory tracks. *)
-let peak_heap_words () = (Gc.quick_stat ()).Gc.top_heap_words
 
 let measure_scale ~n ~msgs ~burst sc_name =
   let stats, sc_wall_s, words =
@@ -704,7 +640,6 @@ let measure_scale ~n ~msgs ~burst sc_name =
     sc_sim_events = stats.Experiments.Ext_scale.sim_events;
     sc_delivered = stats.Experiments.Ext_scale.delivered;
     sc_minor_words_per_op = words /. float_of_int (max 1 stats.Experiments.Ext_scale.delivered);
-    sc_peak_heap = peak_heap_words ();
     sc_extra = None;
   }
 
@@ -712,7 +647,6 @@ let print_scale r =
   Format.printf "  %-44s %8.3f s  %9d sim events  %8.2f words/op%s@." r.sc_name
     r.sc_wall_s r.sc_sim_events r.sc_minor_words_per_op
     (match r.sc_extra with
-     | Some ("speedup_vs_1shard", s) -> Format.asprintf "  %5.2fx vs 1 shard" s
      | Some (key, s) -> Format.asprintf "  %5.2f %s" s key
      | None -> "")
 
@@ -751,7 +685,6 @@ let measure_churn ~members ~msgs sc_name f =
     sc_sim_events = Engine.Sim.events_executed sim;
     sc_delivered = !fired;
     sc_minor_words_per_op = words /. float_of_int (max 1 !fired);
-    sc_peak_heap = peak_heap_words ();
     sc_extra = None;
   }
 
@@ -822,7 +755,6 @@ let measure_shard_row ~regions ~per_region ~msgs ~burst ~shards ~expect sc_name 
     sc_sim_events = events;
     sc_delivered = delivered;
     sc_minor_words_per_op = words /. float_of_int (max 1 delivered);
-    sc_peak_heap = peak_heap_words ();
     sc_extra = None;
   }
 
@@ -869,7 +801,6 @@ let measure_soa_touch ~members ~msgs ~rounds sc_name =
     sc_sim_events = 0;
     sc_delivered = ops;
     sc_minor_words_per_op = words /. float_of_int (max 1 ops);
-    sc_peak_heap = peak_heap_words ();
     sc_extra = None;
   }
 
@@ -904,7 +835,6 @@ let measure_region_overhead () =
     sc_sim_events = 0;
     sc_delivered = 256; (* differenced regions: per-op = per-region *)
     sc_minor_words_per_op = words_per_region;
-    sc_peak_heap = peak_heap_words ();
     sc_extra = Some ("schedules_per_region", scheds_per_region);
   }
 
@@ -934,7 +864,6 @@ let run_1m_rows ~smoke () =
       sc_sim_events = stats.Experiments.Ext_scale.sim_events;
       sc_delivered = delivered;
       sc_minor_words_per_op = words /. float_of_int (max 1 delivered);
-      sc_peak_heap = peak_heap_words ();
       sc_extra = None;
     }
   in
@@ -950,18 +879,15 @@ let run_1m_rows ~smoke () =
       sc_name = Printf.sprintf "scale/1m %dx%d shards=4" regions per_region;
       sc_shards = 4;
       sc_wall_s = wall4;
-      sc_peak_heap = peak_heap_words ();
-      sc_extra = Some ("speedup_vs_1shard", base.sc_wall_s /. Float.max wall4 1e-9);
     }
   in
   print_scale r4;
   [ base; r4 ]
 
-(* Shard counts 1..max_shards (powers of two) per cell; the 1-shard row
-   is the baseline the speedup_vs_1shard column divides against. On a
-   single-core machine the column records the barrier overhead (~1x);
-   the identity guarantee means the statistics are the same either
-   way, so the rows are comparable across machines. *)
+(* Shard counts 1..max_shards (powers of two) per cell; a row's speedup
+   is the 1-shard row's wall_s over its own. The identity guarantee
+   means the statistics are the same at every shard count, so the rows
+   are comparable across machines. *)
 let run_shard_sweep ~smoke ~max_shards () =
   let cells = if smoke then [ (4, 64) ] else [ (16, 512); (32, 1024); (64, 1600) ] in
   let msgs = if smoke then 8 else 24 in
@@ -996,11 +922,6 @@ let run_shard_sweep ~smoke ~max_shards () =
              let r =
                row ~shards ~expect:(Some (base.sc_delivered, base.sc_sim_events))
              in
-             let r =
-               { r with
-                 sc_extra =
-                   Some ("speedup_vs_1shard", base.sc_wall_s /. Float.max r.sc_wall_s 1e-9) }
-             in
              print_scale r;
              r)
            (List.filter (fun s -> s > 1) counts))
@@ -1021,7 +942,6 @@ let scale_result_json r =
          Tracing.Json.Float (float_of_int r.sc_sim_events /. Float.max r.sc_wall_s 1e-9) );
        ("delivered", Tracing.Json.Int r.sc_delivered);
        ("minor_words_per_op", Tracing.Json.Float r.sc_minor_words_per_op);
-       ("peak_heap_words", Tracing.Json.Int r.sc_peak_heap);
      ]
     @
     match r.sc_extra with

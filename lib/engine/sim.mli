@@ -5,12 +5,14 @@
     scheduled, which together with {!Rng} makes runs fully
     deterministic. Callbacks may schedule further events.
 
-    Internally, short-horizon events (the common case: protocol timers,
-    packet deliveries) live in a hierarchical {!Wheel} with O(1)
-    schedule/cancel, while far-future events fall back to a binary
-    {!Heap}; every event carries a global sequence number and both
-    structures order by (fire-time, seq), so the split never changes
-    execution order. *)
+    Internally, the queue is one hierarchical timer wheel (256/64/64
+    slots at 1 ms) whose buckets are chains linked through the handles
+    themselves, so {!schedule} allocates the handle and nothing else
+    and {!cancel} is O(1). A bucket is sorted once, when the clock
+    reaches it; events more than 2^20 ms ahead wait on a far chain
+    until the wheel's window reaches them. Every event carries a global
+    sequence number and fires in (fire-time, seq) order wherever it was
+    stored. *)
 
 type t
 
@@ -24,8 +26,8 @@ val never : handle
 
 val create : ?now:float -> unit -> t
 (** Fresh simulation with the clock at [now] (default 0.0 ms). Every
-    driver gets the same queue: the timer wheel, with the heap holding
-    only events beyond its 2^20 ms horizon. *)
+    driver gets the same queue: the timer wheel, with its far chain for
+    events beyond the 2^20 ms window. *)
 
 val now : t -> float
 (** Current virtual time in milliseconds. *)

@@ -169,6 +169,46 @@ let run_regional_fanout ~regions ~per_region ~batches =
   assert (!delivered = 2 * ops);
   r
 
+(* sim-schedule: what one Sim event costs. Each round files [k] events
+   in one multi-entry level-0 bucket (merge-sorted when the cursor
+   drains it), [k] in a coarse slot (moved down as the windows turn)
+   and, from an action, [k] behind the cursor (inserted into the ready
+   chain), then drains. Every action is preallocated and every delay
+   boxed once, so the window charges the handles alone: the record and
+   its boxed fire time. *)
+let run_sim_schedule ~rounds ~k =
+  let sim = Engine.Sim.create () in
+  let near = Sys.opaque_identity 5.0 in
+  let coarse = Sys.opaque_identity 1000.0 in
+  let zero = Sys.opaque_identity 0.0 in
+  let action () = () in
+  let behind () =
+    for _ = 1 to k do
+      ignore (Engine.Sim.schedule sim ~delay:zero action : Engine.Sim.handle)
+    done
+  in
+  let round () =
+    for _ = 1 to k do
+      ignore (Engine.Sim.schedule sim ~delay:near action : Engine.Sim.handle);
+      ignore (Engine.Sim.schedule sim ~delay:coarse action : Engine.Sim.handle)
+    done;
+    ignore (Engine.Sim.schedule sim ~delay:near behind : Engine.Sim.handle);
+    Engine.Sim.run sim
+  in
+  round ();
+  let r =
+    measure ~name:"alloc/sim-schedule"
+      ~what:"schedule into a shared level-0 bucket, a coarse slot and behind the cursor; drain"
+      ~budget:9.0 ~exact:false
+      ~ops:(rounds * ((3 * k) + 1))
+      (fun () ->
+        for _ = 1 to rounds do
+          round ()
+        done)
+  in
+  assert (Engine.Sim.events_executed sim = (rounds + 1) * ((3 * k) + 1));
+  r
+
 (* The two repair-serving gates run the full record path: a
    preallocated request record is injected straight into the serving
    member (the pooled-delivery contract), the buffered payload is
@@ -282,6 +322,7 @@ let run ?(quick = false) () =
     run_remote_repair ~ops:(256 / d);
     run_regional_fanout ~regions:4 ~per_region:256 ~batches:(8 / d);
     run_deadline_touch ~n:(64 / d) ~k:64 ~rounds:4;
+    run_sim_schedule ~rounds:(64 / d) ~k:64;
     run_codec_encode ~ops:(100_000 / d);
     run_codec_decode ~ops:(100_000 / d);
   ]

@@ -4,10 +4,10 @@
     Each gate drives one named hot path in isolation — SoA delivery
     bookkeeping, gap detection from a session advertisement, a served
     local repair, a served remote repair, the sharded regional-repair
-    fan-out, a deadline touch, and the wire codec's encode and decode
-    (the per-datagram cost of the real-traffic backend) — and charges
-    the minor-heap words
-    the OCaml runtime allocated against a per-path budget. The budgets
+    fan-out, a deadline touch, a Sim schedule, and the wire codec's
+    encode and decode (the per-datagram cost of the real-traffic
+    backend) — and charges the minor-heap words the OCaml runtime
+    allocated against a per-path budget. The budgets
     are the single source of truth: [bench --alloc-gates] reports them
     into [BENCH_alloc.json] and the [rrmp.allocation_gates] test suite
     asserts them on every [dune runtest], so an accidental closure or

@@ -29,3 +29,20 @@ let audited () =
       (incr hits) [@lint.allow "P fixture: single-writer by construction"])
 
 let untouched () = incr hits
+
+(* a module-level constant indexing a local array: the index is not the
+   mutated state, so nothing here is a P access *)
+let last_cell = 3
+
+let indexed () =
+  let cells = Array.make 4 0 in
+  Pool.parallel_for 4 (fun i -> cells.(last_cell) <- i);
+  cells
+
+(* a module-level array whose type is written through an alias: its
+   expanded type is the container, so the write is a P access *)
+type cells = int array
+
+let shared : cells = Array.make 4 0
+
+let aliased () = Pool.parallel_for 4 (fun i -> shared.(i) <- i)

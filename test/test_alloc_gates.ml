@@ -44,6 +44,7 @@ let suites =
         gate "alloc/remote-repair";
         gate "alloc/regional-fanout";
         gate "alloc/deadline-touch";
+        gate "alloc/sim-schedule";
         gate "alloc/codec-encode";
         gate "alloc/codec-decode";
         Alcotest.test_case "every budget holds" `Quick test_all_hold;

@@ -1,5 +1,5 @@
 (* Tests for the discrete-event engine: RNG determinism and statistical
-   sanity, heap ordering, simulator scheduling semantics, timers. *)
+   sanity, simulator scheduling semantics, timers. *)
 
 open Engine
 
@@ -174,174 +174,6 @@ let qcheck_rng_int_in_range =
       v >= 0 && v < bound)
 
 (* ------------------------------------------------------------------ *)
-(* Heap                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let int_heap () = Heap.create ~dummy:0 ~compare_priority:Int.compare ()
-
-let test_heap_order () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 5; 1; 4; 1; 3 ];
-  let popped = List.init 5 (fun _ -> Option.get (Heap.pop h)) in
-  Alcotest.(check (list int)) "ascending" [ 1; 1; 3; 4; 5 ] popped;
-  Alcotest.(check bool) "empty after" true (Heap.is_empty h)
-
-let test_heap_fifo_ties () =
-  (* equal priorities must pop in insertion order *)
-  let h =
-    Heap.create ~dummy:(0, "") ~compare_priority:(fun (a, _) (b, _) -> Int.compare a b) ()
-  in
-  List.iter (Heap.push h) [ (1, "a"); (1, "b"); (0, "z"); (1, "c") ];
-  let popped = List.init 4 (fun _ -> snd (Option.get (Heap.pop h))) in
-  Alcotest.(check (list string)) "fifo among ties" [ "z"; "a"; "b"; "c" ] popped
-
-let test_heap_peek () =
-  let h = int_heap () in
-  Alcotest.(check (option int)) "peek empty" None (Heap.peek h);
-  Heap.push h 2;
-  Heap.push h 1;
-  Alcotest.(check (option int)) "peek min" (Some 1) (Heap.peek h);
-  Alcotest.(check int) "peek does not remove" 2 (Heap.length h)
-
-let test_heap_clear () =
-  let h = int_heap () in
-  List.iter (Heap.push h) [ 1; 2; 3 ];
-  Heap.clear h;
-  Alcotest.(check int) "cleared" 0 (Heap.length h);
-  Heap.push h 9;
-  Alcotest.(check (option int)) "usable after clear" (Some 9) (Heap.pop h)
-
-let test_heap_push_list () =
-  (* bulk load into an empty heap goes through Floyd heapify; bulk load
-     into a non-empty heap falls back to per-element sift *)
-  let h = int_heap () in
-  Heap.push_list h [ 9; 2; 7; 2; 5 ];
-  Heap.push_list h [ 1; 8 ];
-  let rec drain acc =
-    match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-  in
-  Alcotest.(check (list int)) "merged sorted" [ 1; 2; 2; 5; 7; 8; 9 ] (drain [])
-
-let test_heap_top_remove_top () =
-  let h = int_heap () in
-  Alcotest.(check int) "top of empty is dummy" 0 (Heap.top h);
-  Heap.push h 3;
-  Heap.push h 1;
-  Alcotest.(check int) "top is min" 1 (Heap.top h);
-  Heap.remove_top h;
-  Alcotest.(check int) "next top" 3 (Heap.top h);
-  Heap.remove_top h;
-  Heap.remove_top h (* removing from empty is a no-op *);
-  Alcotest.(check bool) "empty" true (Heap.is_empty h)
-
-let test_heap_no_space_retention () =
-  (* popped slots must be overwritten with the dummy so the GC can
-     reclaim popped values even while the heap object stays alive *)
-  let dummy = ref (-1) in
-  let h = Heap.create ~dummy ~compare_priority:(fun a b -> Int.compare !a !b) () in
-  let n = 16 in
-  let weak = Weak.create n in
-  let fill () =
-    for i = 0 to n - 1 do
-      let v = ref i in
-      Weak.set weak i (Some v);
-      Heap.push h v
-    done
-  in
-  fill ();
-  let rec drain () = if Heap.pop h <> None then drain () in
-  drain ();
-  Gc.full_major ();
-  let live = ref 0 in
-  for i = 0 to n - 1 do
-    if Weak.check weak i then incr live
-  done;
-  Alcotest.(check int) "popped values collectable" 0 !live;
-  ignore (Sys.opaque_identity h)
-
-let qcheck_heap_sorts =
-  QCheck.Test.make ~name:"heap pops any int list sorted" ~count:300
-    QCheck.(list int)
-    (fun xs ->
-      let h = int_heap () in
-      List.iter (Heap.push h) xs;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare xs)
-
-let qcheck_heap_push_list_sorts =
-  QCheck.Test.make ~name:"heap push_list equals sequential pushes" ~count:300
-    QCheck.(pair (list int) (list int))
-    (fun (xs, ys) ->
-      let h = int_heap () in
-      Heap.push_list h xs;
-      Heap.push_list h ys;
-      let rec drain acc =
-        match Heap.pop h with None -> List.rev acc | Some x -> drain (x :: acc)
-      in
-      drain [] = List.sort compare (xs @ ys))
-
-(* ------------------------------------------------------------------ *)
-(* Wheel                                                               *)
-(* ------------------------------------------------------------------ *)
-
-let timed_wheel () = Wheel.create ~time_of:fst ~compare:Stdlib.compare ()
-
-let drain_wheel w =
-  let rec go acc = match Wheel.pop w with None -> List.rev acc | Some x -> go (x :: acc) in
-  go []
-
-let test_wheel_sorted_across_levels () =
-  let w = timed_wheel () in
-  (* ticks spanning all three levels, plus an exact tie broken by seq *)
-  let xs =
-    [ (5.2, 1); (0.1, 2); (5.2, 3); (900_000.0, 4); (300.7, 5); (70_000.3, 6); (5.2, 7) ]
-  in
-  List.iter (fun x -> Alcotest.(check bool) "accepted" true (Wheel.add w x)) xs;
-  Alcotest.(check int) "length" (List.length xs) (Wheel.length w);
-  Alcotest.(check (list (pair (float 1e-9) int))) "drained in order"
-    (List.sort compare xs) (drain_wheel w)
-
-let test_wheel_horizon_rejects () =
-  let w = timed_wheel () in
-  Alcotest.(check bool) "anchor" true (Wheel.add w (0.0, 0));
-  Alcotest.(check bool) "beyond horizon rejected" false (Wheel.add w (2e6, 1));
-  Alcotest.(check int) "rejected entry not stored" 1 (Wheel.length w)
-
-let test_wheel_add_behind_cursor () =
-  let w = timed_wheel () in
-  ignore (Wheel.add w (10.0, 1));
-  Alcotest.(check (option (pair (float 1e-9) int))) "first" (Some (10.0, 1)) (Wheel.pop w);
-  (* the cursor has moved past tick 3; late adds must still come out,
-     and in order *)
-  ignore (Wheel.add w (5.0, 3));
-  ignore (Wheel.add w (3.0, 2));
-  Alcotest.(check (list (pair (float 1e-9) int))) "late adds ordered"
-    [ (3.0, 2); (5.0, 3) ] (drain_wheel w)
-
-let test_wheel_filter_in_place () =
-  let w = timed_wheel () in
-  List.iter (fun x -> ignore (Wheel.add w x))
-    [ (1.0, 1); (2.0, 2); (300.0, 3); (70_000.0, 4) ];
-  Wheel.filter_in_place w (fun (_, i) -> i mod 2 = 0);
-  Alcotest.(check (list (pair (float 1e-9) int))) "survivors in order"
-    [ (2.0, 2); (70_000.0, 4) ] (drain_wheel w)
-
-let qcheck_wheel_sorts =
-  QCheck.Test.make ~name:"wheel pops accepted entries in order" ~count:300
-    QCheck.(list (int_bound 3_000_000))
-    (fun ticks ->
-      let w = timed_wheel () in
-      let kept = ref [] in
-      List.iteri
-        (fun i v ->
-          let entry = (float_of_int v /. 3.0, i) in
-          if Wheel.add w entry then kept := entry :: !kept)
-        ticks;
-      drain_wheel w = List.sort compare (List.rev !kept))
-
-(* ------------------------------------------------------------------ *)
 (* Sim                                                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -442,8 +274,8 @@ let test_sim_compaction () =
   Sim.run sim;
   Alcotest.(check int) "survivors all fire" 31 (Sim.events_executed sim)
 
-let test_sim_far_future_heap_fallback () =
-  (* events beyond the wheel horizon (2^20 ms) take the heap path and
+let test_sim_far_future_events () =
+  (* events beyond level 2's window (2^20 ms) wait on the far chain and
      must still interleave correctly with near events *)
   let sim = Sim.create () in
   let log = ref [] in
@@ -455,12 +287,58 @@ let test_sim_far_future_heap_fallback () =
   Alcotest.(check (list string)) "near first" [ "near"; "far"; "farther" ] (List.rev !log);
   check_float "clock at last" 3_000_000.0 (Sim.now sim)
 
+let test_sim_far_events_cross_the_turn () =
+  (* the last event before level 2's window turns schedules a successor
+     past the turn; an event already waiting on the far chain for a time
+     between the two must fire between them, so the far chain has to be
+     re-bucketed when the window turns. The anchor at 1 ms holds the
+     window at [0, 2^20) while the other two are scheduled. *)
+  let turn = 1_048_576.0 (* 2^20 ms *) in
+  let sim = Sim.create () in
+  let log = ref [] in
+  let mark label () = log := (label, Sim.now sim) :: !log in
+  ignore (Sim.schedule_at sim ~at:1.0 (mark "anchor"));
+  ignore
+    (Sim.schedule_at sim ~at:(turn -. 1.0) (fun () ->
+         mark "before" ();
+         ignore (Sim.schedule sim ~delay:2.0 (mark "successor"))));
+  ignore (Sim.schedule_at sim ~at:(turn +. 0.5) (mark "far"));
+  Sim.run sim;
+  Alcotest.(check (list (pair string (float 1e-9))))
+    "far event between the two"
+    [
+      ("anchor", 1.0); ("before", turn -. 1.0); ("far", turn +. 0.5); ("successor", turn +. 1.0);
+    ]
+    (List.rev !log)
+
+(* schedule two same-instant events, keep only the first handle, and
+   watch the second event's closure through [weak] *)
+let[@inline never] schedule_pair sim weak =
+  let kept = Sim.schedule sim ~delay:1.0 ignore in
+  let hits = ref 0 in
+  let second () = incr hits in
+  Weak.set weak 0 (Some second);
+  ignore (Sim.schedule sim ~delay:1.0 second);
+  kept
+
+let test_sim_fired_handle_pins_nothing () =
+  (* callers keep fired handles in timer fields: a popped handle must
+     not stay linked to the events queued after it *)
+  let sim = Sim.create () in
+  let weak = Weak.create 1 in
+  let kept = schedule_pair sim weak in
+  Sim.run sim;
+  Gc.full_major ();
+  Alcotest.(check bool) "second closure collected" false (Weak.check weak 0);
+  ignore (Sys.opaque_identity kept)
+
 (* Scheduler equivalence: any randomized mix of schedules (near,
-   tie-prone, beyond the wheel's horizon), single and burst cancels,
+   tie-prone, around level 2's 2^20 ms window), single and burst cancels,
    reschedules-on-fire (the RRMP idle-reset shape) and partial runs,
    bounded by time or by event count, must produce the same firing log,
-   clock and event count from the wheel-backed Sim as from the single
-   ordered queue of test/reference_sim.ml. *)
+   clock and event count from Sim's timer wheel as from the single
+   ordered queue of test/reference_sim.ml. Absolute times a few ms
+   either side of k * 2^20 ms straddle the turns of level 2's window. *)
 module type SCHED = sig
   type t
   type handle
@@ -495,10 +373,10 @@ let sim_trace (module S : SCHED) ops =
   in
   List.iter
     (fun (tag, v) ->
-      match tag mod 8 with
+      match tag mod 9 with
       | 0 | 1 -> sched (float_of_int (v mod 2000) *. 0.75)
       | 2 -> sched (float_of_int (v mod 13) /. 4.0) (* tie-prone *)
-      | 3 -> sched (1_000_000.0 +. float_of_int v) (* near/beyond horizon *)
+      | 3 -> sched (1_000_000.0 +. float_of_int v) (* near the window's end *)
       | 4 ->
         if !n_handles > 0 then S.cancel (List.nth !handles (v mod !n_handles))
       | 5 ->
@@ -506,13 +384,17 @@ let sim_trace (module S : SCHED) ops =
            entries to reach the compaction trigger *)
         List.iteri (fun i h -> if i < v mod 48 then S.cancel h) !handles
       | 6 -> S.run ~until:(S.now sim +. float_of_int (v mod 300)) sim
-      | _ -> S.run ~max_events:(S.events_executed sim + (v mod 5)) sim)
+      | 7 -> S.run ~max_events:(S.events_executed sim + (v mod 5)) sim
+      | _ ->
+        (* k * 2^20 ms +- 4 ms, in half-ms steps *)
+        let at = float_of_int ((1 + (v mod 3)) lsl 20) +. (float_of_int ((v / 3) mod 17 - 8) /. 2.0) in
+        sched (at -. S.now sim))
     ops;
   S.run sim;
   (List.rev !log, S.now sim, S.events_executed sim)
 
-let qcheck_sim_wheel_equivalence =
-  QCheck.Test.make ~name:"wheel and heap schedulers are equivalent" ~count:1000
+let qcheck_sim_reference_equivalence =
+  QCheck.Test.make ~name:"matches reference queue" ~count:1000
     QCheck.(list (pair small_nat (int_bound 10_000)))
     (fun ops -> sim_trace (module Sim) ops = sim_trace (module Reference_sim) ops)
 
@@ -604,26 +486,6 @@ let suites =
         Alcotest.test_case "sample without replacement" `Quick test_rng_sample_without_replacement;
         QCheck_alcotest.to_alcotest qcheck_rng_int_in_range;
       ] );
-    ( "engine.heap",
-      [
-        Alcotest.test_case "orders" `Quick test_heap_order;
-        Alcotest.test_case "fifo ties" `Quick test_heap_fifo_ties;
-        Alcotest.test_case "peek" `Quick test_heap_peek;
-        Alcotest.test_case "clear" `Quick test_heap_clear;
-        Alcotest.test_case "push_list" `Quick test_heap_push_list;
-        Alcotest.test_case "top/remove_top" `Quick test_heap_top_remove_top;
-        Alcotest.test_case "no space retention" `Quick test_heap_no_space_retention;
-        QCheck_alcotest.to_alcotest qcheck_heap_sorts;
-        QCheck_alcotest.to_alcotest qcheck_heap_push_list_sorts;
-      ] );
-    ( "engine.wheel",
-      [
-        Alcotest.test_case "sorted across levels" `Quick test_wheel_sorted_across_levels;
-        Alcotest.test_case "horizon rejects" `Quick test_wheel_horizon_rejects;
-        Alcotest.test_case "add behind cursor" `Quick test_wheel_add_behind_cursor;
-        Alcotest.test_case "filter in place" `Quick test_wheel_filter_in_place;
-        QCheck_alcotest.to_alcotest qcheck_wheel_sorts;
-      ] );
     ( "engine.sim",
       [
         Alcotest.test_case "time order" `Quick test_sim_runs_in_time_order;
@@ -635,8 +497,10 @@ let suites =
         Alcotest.test_case "max events" `Quick test_sim_max_events;
         Alcotest.test_case "executed excludes cancelled" `Quick test_sim_events_executed_excludes_cancelled;
         Alcotest.test_case "compaction reaps cancelled" `Quick test_sim_compaction;
-        Alcotest.test_case "far-future heap fallback" `Quick test_sim_far_future_heap_fallback;
-        QCheck_alcotest.to_alcotest qcheck_sim_wheel_equivalence;
+        Alcotest.test_case "far-future events" `Quick test_sim_far_future_events;
+        Alcotest.test_case "far events cross the turn" `Quick test_sim_far_events_cross_the_turn;
+        Alcotest.test_case "fired handle pins nothing" `Quick test_sim_fired_handle_pins_nothing;
+        QCheck_alcotest.to_alcotest qcheck_sim_reference_equivalence;
       ] );
     ( "engine.timer",
       [

@@ -197,6 +197,8 @@ let test_p_cases () =
       ("fx_glob.ml", 23, 14);
       (* module-scope hashtable mutation in the closure *)
       ("fx_glob.ml", 24, 6);
+      (* a module-level array whose type is an alias *)
+      ("fx_glob.ml", 48, 47);
     ]
     (typed_hits "P")
 
@@ -286,7 +288,7 @@ let test_sarif_smoke () =
     go 0 0
   in
   Alcotest.(check int) "declares SARIF 2.1.0" 1 (count "\"version\":\"2.1.0\"");
-  Alcotest.(check int) "one result per finding" 16 (count "\"ruleId\"");
+  Alcotest.(check int) "one result per finding" 17 (count "\"ruleId\"");
   Alcotest.(check int) "suppressed results carry the audit marker" 3
     (count "\"suppressions\":[{\"kind\":\"inSource\"");
   Alcotest.(check int) "every fired family has a rule object" 3 (count "\"shortDescription\"");

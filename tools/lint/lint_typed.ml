@@ -18,7 +18,11 @@
       match the access patterns), per-domain-indexed, or audited with
       [@lint.allow "P ..."]. Aliased state (a ref passed as an
       argument) is out of scope: the rule guards the state a module
-      *owns*, which is where unsynchronized sharing hides.
+      *owns*, which is where unsynchronized sharing hides. Of a
+      container op's operands only the container counts (an array,
+      [bytes], or a container module's [t], type abbreviations
+      expanded): a top-level index or stored value is not the state
+      being mutated.
 
    E  exception-safety — a function marked [@lint.never_raise] must
       not *transitively* reach [raise]/[failwith]/[invalid_arg], a
@@ -175,6 +179,7 @@ type unit_info = {
   u_file : string;  (* source path, e.g. "lib/rrmp/buffer.ml" *)
   u_str : structure;
   u_stamps : (string, string) Hashtbl.t;  (* Ident.unique_name -> def key *)
+  u_loadpath : string list;  (* include dirs it was compiled with *)
 }
 
 type graph = {
@@ -400,6 +405,32 @@ let rec is_option ty =
   | Types.Tpoly (t, _) -> is_option t
   | _ -> false
 
+(* an array, [bytes], or the [t] of a {!container_mods} module: the
+   operand types a container op mutates (indices and stored values are
+   neither) *)
+let rec is_container ty =
+  match Types.get_desc ty with
+  | Types.Tconstr (p, _, _) -> (
+    Path.same p Predef.path_array
+    || Path.same p Predef.path_bytes
+    ||
+    match List.rev (normalize_components (flat_path p)) with
+    | "t" :: m :: _ -> List.mem m container_mods
+    | _ -> false)
+  | Types.Tpoly (t, _) -> is_container t
+  | _ -> false
+
+(* [e]'s type with its head abbreviations expanded, so a value typed
+   [registry] where [type registry = (string, int) Hashtbl.t] is a
+   container too. A cmt keeps only each environment's summary: the
+   environment is rebuilt from it first (against the include dirs
+   {!walk_unit} installs), and the type is taken as written when that
+   fails. *)
+let expanded_type (e : expression) =
+  match Envaux.env_of_only_summary e.exp_env with
+  | env -> ( try Ctype.expand_head env e.exp_type with _ -> e.exp_type)
+  | exception _ -> e.exp_type
+
 let is_tyvar ty =
   match Types.get_desc ty with Types.Tvar _ | Types.Tunivar _ -> true | _ -> false
 
@@ -531,6 +562,9 @@ let captures_locals st e =
 
 let walk_unit g (u : unit_info) =
   let st = { g; u; cur = None; catch = 0; loops = 0; task = 0 } in
+  (* the cmis {!expanded_type} rebuilds environments from *)
+  Load_path.init ~auto_include:Load_path.no_auto_include u.u_loadpath;
+  Envaux.reset_cache ();
   let open Tast_iterator in
   let rec iterator =
     {
@@ -706,10 +740,10 @@ let walk_unit g (u : unit_info) =
            match a with
            | Some a -> (
              match global_operand st a with
-             | Some key ->
+             | Some key when is_container (expanded_type a) ->
                record_access st ~loc:e.exp_loc
                  (Printf.sprintf "%s on module-level container %s" name key)
-             | None -> ())
+             | Some _ | None -> ())
            | None -> ())
          args);
     (* A: intra-repo call whose float result boxes on return (tiny
@@ -907,6 +941,34 @@ let discover_cmts ?(root = ".") (cfg : Config.t) =
       List.map (fun f -> Filename.concat root f) (one_per_module found))
     cfg.Config.typed_dirs
 
+(* the include dirs a unit was compiled with, usable from here. Dune
+   records them under its build root, which it may rewrite in
+   [cmt_builddir] (to /workspace_root); the unit's own object dir is
+   one of them and ends the cmt's directory, which gives the real
+   root. *)
+let include_dirs path (info : Cmt_format.cmt_infos) =
+  let build = info.Cmt_format.cmt_builddir in
+  let under_build d =
+    if Filename.is_relative d then Some d
+    else if String.starts_with ~prefix:(build ^ "/") d then
+      Some (String.sub d (String.length build + 1) (String.length d - String.length build - 1))
+    else None
+  in
+  let dir = Filename.dirname path in
+  let root =
+    List.find_map
+      (fun d ->
+        match under_build d with
+        | Some r when r <> "" && (dir = r || ends_with ~suffix:("/" ^ r) dir) ->
+          Some (String.sub dir 0 (String.length dir - String.length r))
+        | Some _ | None -> None)
+      info.Cmt_format.cmt_loadpath
+  in
+  let root = Option.value root ~default:build in
+  List.map
+    (fun d -> match under_build d with Some r -> Filename.concat root r | None -> d)
+    info.Cmt_format.cmt_loadpath
+
 let load_unit g path =
   match Cmt_format.read_cmt path with
   | exception _ -> None
@@ -926,7 +988,15 @@ let load_unit g path =
         | None -> raw
       in
       if Lint_core.in_dirs file g.cfg.Config.exclude then None
-      else Some { u_name = name; u_file = file; u_str = str; u_stamps = Hashtbl.create 64 }
+      else
+        Some
+          {
+            u_name = name;
+            u_file = file;
+            u_str = str;
+            u_stamps = Hashtbl.create 64;
+            u_loadpath = include_dirs path info;
+          }
     | _ -> None)
 
 (* ------------------------------------------------------------------ *)
