@@ -652,22 +652,27 @@ let print_scale r =
 
 (* The deadline-management component in isolation, at the sweep's
    deadline population: [members * msgs] concurrent Timer.Idle
-   deadlines, [rounds] full feedback passes (every deadline touched),
-   then expiry. This is the op mix [touch_feedback]/[start_idle_timer]
-   generate inside the sweep, with the per-delivery protocol work
-   (which dominates the whole-run numbers above) stripped away. *)
+   deadlines, each with the one action a buffer entry keeps beside it,
+   [rounds] full feedback passes (every deadline touched), then expiry.
+   This is the op mix the buffer's arm/touch generate inside the sweep,
+   with the per-delivery protocol work (which dominates the whole-run
+   numbers above) stripped away. *)
 
 let churn_timers ~members ~msgs ~rounds () =
+  let module Idle = Engine.Timer.Idle in
   let sim = Engine.Sim.create () in
   let fired = ref 0 in
   let timers =
     Array.init (members * msgs) (fun _ ->
-        Engine.Timer.Idle.create sim ~timeout:100.0 ~on_idle:(fun () -> incr fired))
+        let idle = Idle.create () in
+        let rec action () = if Idle.expired sim idle action then incr fired in
+        Idle.arm sim idle ~timeout:100.0 action;
+        idle)
   in
   for r = 1 to rounds do
     ignore
       (Engine.Sim.schedule_at sim ~at:(float_of_int r *. 20.0) (fun () ->
-           Array.iter Engine.Timer.Idle.touch timers))
+           Array.iter (Idle.touch sim) timers))
   done;
   Engine.Sim.run sim;
   (fired, sim)

@@ -42,12 +42,13 @@ let member_of t node = Node_id.Table.find t.members node
 
 let send t ~src ~dst msg = Network.unicast t.net ~cls:(cls msg) ~src ~dst msg
 
+(* fixed-time buffering: the entry's retention deadline, never touched,
+   discards it [buffer_for] ms after arrival *)
 let store t m payload =
-  if Buffer.insert m.buffer ~phase:Buffer.Short_term payload then begin
-    let id = Payload.id payload in
-    ignore
-      (Sim.schedule t.sim ~delay:t.buffer_for (fun () -> ignore (Buffer.remove m.buffer id)))
-  end
+  if not (Buffer.mem m.buffer (Payload.id payload)) then
+    Buffer.arm m.buffer
+      (Buffer.insert m.buffer ~phase:Buffer.Short_term payload)
+      ~timeout:t.buffer_for
 
 let handle_data t m payload =
   match Recv_log.note_data m.recv (Payload.id payload) with
@@ -76,8 +77,8 @@ let handle_solicit t m ids ~src =
   List.iter
     (fun id ->
       match Buffer.find m.buffer id with
-      | Some payload -> send t ~src:m.node ~dst:src (Retransmit payload)
-      | None -> ()  (* already discarded: the solicitor will pull elsewhere *))
+      | e -> send t ~src:m.node ~dst:src (Retransmit (Buffer.payload e))
+      | exception Not_found -> ()  (* already discarded: the solicitor will pull elsewhere *))
     ids
 
 let handle_retransmit t m payload =
@@ -140,6 +141,7 @@ let create ?(seed = 1) ?(latency = Latency.paper_default) ?(loss = Loss.Lossless
         }
       in
       Node_id.Table.add t.members node m;
+      Buffer.set_on_expire m.buffer (Buffer.remove m.buffer);
       Network.register net node (handle_delivery t m);
       m.ticker <-
         Some (Engine.Timer.Periodic.create sim ~interval:gossip_interval (fun () ->

@@ -139,7 +139,7 @@ let obtain t m payload =
      Stats.Summary.add t.latencies (Sim.now t.sim -. state.detected_at)
    | None -> ());
   (* ALF-style: everything stays available for retransmission *)
-  ignore (Buffer.insert m.buffer ~phase:Buffer.Long_term payload)
+  ignore (Buffer.insert m.buffer ~phase:Buffer.Long_term payload : Buffer.entry)
 
 let handle_data t m payload =
   match Recv_log.note_data m.recv (Payload.id payload) with
@@ -155,8 +155,8 @@ let handle_request t m id ~src =
   if Node_id.equal src m.node then ()
   else begin
     match Buffer.find m.buffer id with
-    | Some payload -> schedule_repair t m ~requester:src payload
-    | None ->
+    | e -> schedule_repair t m ~requester:src (Buffer.payload e)
+    | exception Not_found ->
       (* we miss it too: the request both reveals the message's
          existence and suppresses our own pending request *)
       List.iter (start_request t m)

@@ -102,7 +102,7 @@ let obtain t m payload =
   cancel_nack m id;
   (* only the repair server buffers — for the whole session *)
   if Node_id.equal m.node m.server then
-    ignore (Buffer.insert m.buffer ~phase:Buffer.Long_term payload);
+    ignore (Buffer.insert m.buffer ~phase:Buffer.Long_term payload : Buffer.entry);
   serve_waiters t m payload
 
 let handle_data t m payload =
@@ -117,8 +117,8 @@ let handle_session t m ~source ~max_seq =
 
 let handle_nack t m id ~src =
   match Buffer.find m.buffer id with
-  | Some payload -> send t ~src:m.node ~dst:src (Repair payload)
-  | None ->
+  | e -> send t ~src:m.node ~dst:src (Repair (Buffer.payload e))
+  | exception Not_found ->
     (* record the requester; make sure the server itself is chasing it *)
     let requesters =
       match Msg_id.Table.find_opt m.waiting id with

@@ -78,8 +78,11 @@ val fire_time : handle -> float
 
 val run : ?until:float -> ?max_events:int -> t -> unit
 (** Drain the event queue. Stops when the queue is empty, when the next
-    event is strictly later than [until], or after [max_events]
-    callbacks have run. The clock ends at the time of the last executed
+    event is strictly later than [until], or once {!events_executed}
+    (the sim's cumulative count, not this call's) reaches
+    [max_events]: a second [run ~max_events:n] on the same sim runs
+    nothing, and [run ~max_events:(events_executed t + k)] runs at most
+    [k] callbacks. The clock ends at the time of the last executed
     event (or [until] if provided and larger). *)
 
 val events_executed : t -> int

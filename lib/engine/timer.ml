@@ -1,64 +1,52 @@
 module Idle = struct
-  (* Touch-heavy idle timers (RRMP resets one on *every* recovery
+  (* Touch-heavy deadlines (RRMP resets one on *every* recovery
      request) must not pay a scheduler entry per touch. [touch] only
-     records the new deadline and reserves the sequence number an eager
+     records when it happened and reserves the sequence number an eager
      cancel + re-arm would have taken; the armed event stays queued.
-     When that (now stale) event fires, it re-arms at the recorded
-     deadline with the reserved number. Events order by (time, seq), so
-     the final firing lands in exactly the slot the eager version gave
-     it — same instant, same FIFO place among same-instant events — and
-     seeded runs are unchanged. *)
-
-  (* a float-only record is stored flat: writing it boxes nothing *)
-  type deadline = { mutable at : float }
+     When that (now stale) event fires, [expired] re-arms it at the
+     recorded touch plus the timeout, with the reserved number. Events
+     order by (time, seq), so the final firing lands in exactly the slot
+     the eager version gave it — same instant, same FIFO place among
+     same-instant events — and seeded runs are unchanged. *)
 
   type t = {
-    sim : Sim.t;
-    timeout : float;
-    on_idle : unit -> unit;
     mutable handle : Sim.handle;  (* [Sim.never] when disarmed *)
-    due : deadline;  (* latest deadline; valid while [reserved >= 0] *)
+    mutable timeout : float;
+    (* the clock's own boxed value at the latest touch: storing it
+       allocates nothing; valid while [reserved >= 0] *)
+    mutable touched_at : float;
     mutable reserved : int;  (* seq for the deferred re-arm; -1 = none *)
-    mutable fire : unit -> unit;  (* set once at create, shared by every re-arm *)
   }
 
-  let expire t =
-    if t.reserved >= 0 then begin
-      let seq = t.reserved in
-      t.reserved <- -1;
-      t.handle <- Sim.schedule_with_seq t.sim ~at:t.due.at ~seq t.fire
-    end
-    else begin
-      t.handle <- Sim.never;
-      t.on_idle ()
-    end
-
-  let arm t = t.handle <- Sim.schedule t.sim ~delay:t.timeout t.fire
-
-  let create sim ~timeout ~on_idle =
-    (* [fire] is patched in rather than tied with [let rec], which would
-       cost two C calls (dummy block + update) per timer *)
-    let t =
-      { sim; timeout; on_idle; handle = Sim.never; due = { at = 0.0 }; reserved = -1; fire = ignore }
-    in
-    t.fire <- (fun () -> expire t);
-    arm t;
-    t
+  let create () = { handle = Sim.never; timeout = 0.0; touched_at = 0.0; reserved = -1 }
 
   let stop t =
     Sim.cancel t.handle;
     t.handle <- Sim.never;
     t.reserved <- -1
 
-  let touch t =
-    if t.handle != Sim.never then begin
-      t.due.at <- Sim.now t.sim +. t.timeout;
-      t.reserved <- Sim.reserve_seq t.sim
+  let arm sim t ~timeout action =
+    stop t;
+    t.timeout <- timeout;
+    t.handle <- Sim.schedule sim ~delay:timeout action
+
+  let expired sim t action =
+    if t.reserved >= 0 then begin
+      let seq = t.reserved in
+      t.reserved <- -1;
+      t.handle <- Sim.schedule_with_seq sim ~at:(t.touched_at +. t.timeout) ~seq action;
+      false
+    end
+    else begin
+      t.handle <- Sim.never;
+      true
     end
 
-  let restart t =
-    stop t;
-    arm t
+  let touch sim t =
+    if t.handle != Sim.never then begin
+      t.touched_at <- Sim.now sim;
+      t.reserved <- Sim.reserve_seq sim
+    end
 
   let active t = t.handle != Sim.never
 end

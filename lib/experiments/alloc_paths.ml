@@ -274,6 +274,52 @@ let run_remote_repair ~ops =
       non_sender group (Rrmp.Group.members_of_region group (List.hd regions)))
     ~ops
 
+(* member-buffer: what one buffered message costs over its whole life
+   on the classic path. A non-sender member of an 8-member region takes
+   first Data deliveries through a preallocated record; the sim then
+   runs past every idle deadline and past the lifetime of the ~C/n
+   that stay long-term. The window charges the buffer entry with its
+   deadline and action, the scheduler entries of the idle and lifetime
+   deadlines, and the reception bookkeeping. A warm-up of as many
+   messages grows the tables first. *)
+let run_member_buffer ~msgs =
+  let config = { Rrmp.Config.default with Rrmp.Config.long_term_lifetime = Some 1000.0 } in
+  let group =
+    Rrmp.Group.create ~seed:7 ~config ~topology:(Topology.single_region ~size:8) ()
+  in
+  let member = non_sender group (Rrmp.Group.members group) in
+  let source = Rrmp.Member.node (Rrmp.Group.sender group) in
+  let sim = Rrmp.Group.sim group in
+  let wires =
+    Array.init (2 * msgs) (fun seq ->
+        Rrmp.Wire.Data (Rrmp.Payload.make ~size:64 (Protocol.Msg_id.make ~source ~seq)))
+  in
+  let d =
+    {
+      Netsim.Network.src = source;
+      dst = Rrmp.Member.node member;
+      msg = wires.(0);
+      sent_at = 0.0;
+      cls = Rrmp.Wire.cls wires.(0);
+    }
+  in
+  let feed lo hi =
+    for seq = lo to hi - 1 do
+      d.msg <- wires.(seq);
+      Rrmp.Member.inject_delivery member d
+    done;
+    Engine.Sim.run ~until:(Engine.Sim.now sim +. 2000.0) sim
+  in
+  feed 0 msgs;
+  let r =
+    measure ~name:"alloc/member-buffer"
+      ~what:"buffer a first Data delivery through its idle deadline and long-term lifetime"
+      ~budget:52.0 ~exact:false ~ops:msgs
+      (fun () -> feed msgs (2 * msgs))
+  in
+  assert (Rrmp.Member.buffer_size member = 0);
+  r
+
 (* Codec gates: the per-datagram cost of the real-traffic backend.
    Encode writes one prebuilt 1 KiB Data frame into a preallocated
    buffer; decode revalidates those bytes through a pooled decoder via
@@ -320,6 +366,7 @@ let run ?(quick = false) () =
     run_gap_note ~n:(64 / d) ~k:128;
     run_local_repair ~ops:(512 / d);
     run_remote_repair ~ops:(256 / d);
+    run_member_buffer ~msgs:(4096 / d);
     run_regional_fanout ~regions:4 ~per_region:256 ~batches:(8 / d);
     run_deadline_touch ~n:(64 / d) ~k:64 ~rounds:4;
     run_sim_schedule ~rounds:(64 / d) ~k:64;

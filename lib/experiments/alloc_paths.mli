@@ -3,7 +3,8 @@
 
     Each gate drives one named hot path in isolation — SoA delivery
     bookkeeping, gap detection from a session advertisement, a served
-    local repair, a served remote repair, the sharded regional-repair
+    local repair, a served remote repair, one message's buffered life
+    on the classic [Member] path, the sharded regional-repair
     fan-out, a deadline touch, a Sim schedule, and the wire codec's
     encode and decode (the per-datagram cost of the real-traffic
     backend) — and charges the minor-heap words the OCaml runtime

@@ -307,8 +307,8 @@ let run_1m ?(cells = [ (1024, 1024) ]) ?(msgs = 8) ?(burst = 4) ?(trials = 1)
     ~closing_note:
       "the 10^6-member cell is the per-shard-spine acceptance workload: per-region \
        fixed cost is a handful of words (flat session arrays + arena slices), so \
-       region count scales into the thousands; wall-clock and peak heap live in \
-       BENCH_scale.json"
+       region count scales into the thousands; wall-clock and minor words per \
+       delivery live in BENCH_scale.json"
     ~cells ~msgs ~burst ~trials ~quantum ~seed ()
 
 (* ------------------------------------------------------------------ *)

@@ -68,7 +68,9 @@ type 'msg t = {
   latency : Latency.t;
   loss : Loss.t;
   rng : Engine.Rng.t;
-  handlers : ('msg delivery -> unit) Node_id.Table.t;
+  (* receive handlers indexed by node id (ids are dense topology
+     indices); [no_handler] marks an empty slot *)
+  mutable handlers : ('msg delivery -> unit) array;
   counters : (string, mutable_counter) Hashtbl.t;
   (* hot-path memo over [counters]: traffic classes are a handful of
      (physically shared) literals, so a pointer-compared association
@@ -88,6 +90,8 @@ type 'msg t = {
   mutable mh_dropped : Tracing.Metrics.handle;
 }
 
+let no_handler _ = ()
+
 let create ~sim ~topology ~latency ~loss ~rng ?bandwidth ?(batched = true) () =
   (match bandwidth with
    | Some b when b.bytes_per_ms <= 0.0 ->
@@ -99,7 +103,7 @@ let create ~sim ~topology ~latency ~loss ~rng ?bandwidth ?(batched = true) () =
     latency;
     loss;
     rng;
-    handlers = Node_id.Table.create 256;
+    handlers = Array.make (max 1 (Topology.created_count topology)) no_handler;
     counters = Hashtbl.create 16;
     counter_cache = [];
     counter_cache_len = 0;
@@ -125,9 +129,19 @@ let topology t = t.topology
 
 let latency t = t.latency
 
-let register t node handler = Node_id.Table.replace t.handlers node handler
+let register t node handler =
+  let i = Node_id.to_int node in
+  let n = Array.length t.handlers in
+  if i >= n then begin
+    let grown = Array.make (max (i + 1) (2 * n)) no_handler in
+    Array.blit t.handlers 0 grown 0 n;
+    t.handlers <- grown
+  end;
+  t.handlers.(i) <- handler
 
-let unregister t node = Node_id.Table.remove t.handlers node
+let unregister t node =
+  let i = Node_id.to_int node in
+  if i < Array.length t.handlers then t.handlers.(i) <- no_handler
 
 let rec cached_counter cls = function
   | [] -> raise_notrace Not_found
@@ -181,13 +195,15 @@ let deliver t ~c (d : 'msg delivery) =
   if not (Topology.is_member t.topology d.dst) then
     c.m_dropped_dead <- c.m_dropped_dead + 1
   else
-    match Node_id.Table.find t.handlers d.dst with
-    | exception Not_found -> c.m_dropped_dead <- c.m_dropped_dead + 1
-    | handler ->
+    let i = Node_id.to_int d.dst in
+    let handler = if i < Array.length t.handlers then t.handlers.(i) else no_handler in
+    if handler == no_handler then c.m_dropped_dead <- c.m_dropped_dead + 1
+    else begin
       c.m_delivered <- c.m_delivered + 1;
       t.mh_delivered := !(t.mh_delivered) + 1;
       (match t.hook with None -> () | Some observe -> observe d);
       handler d
+    end
 
 (* deliver a fired parcel (unicast or group) and recycle it; installed
    as [p_fire] when the parcel is first created. The parcel is not on

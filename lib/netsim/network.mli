@@ -70,7 +70,9 @@ val latency : 'msg t -> Latency.t
 
 val register : 'msg t -> Node_id.t -> ('msg delivery -> unit) -> unit
 (** Install the receive handler for a node (replacing any previous
-    one). A node with no handler silently drops inbound packets. *)
+    one). A node with no handler silently drops inbound packets.
+    Handlers sit in a slot indexed by node id (ids are dense topology
+    indices), so a delivery reaches its handler without hashing. *)
 
 val unregister : 'msg t -> Node_id.t -> unit
 

@@ -3,36 +3,67 @@
     Entries are in one of the two phases of Section 3: [Short_term]
     (feedback-based: discarded once idle unless promoted) or
     [Long_term] (kept by the randomly chosen bufferers of an idle
-    message). The buffer also accounts for occupancy over time — the
-    integral of buffered bytes (and message count) over virtual time —
-    which the overhead experiments report. *)
+    message). One entry per message holds the payload, its phase and
+    its single retention deadline — the idle threshold while
+    short-term, the lifetime once long-term; the two never coexist. The buffer also accounts for occupancy over time —
+    the integral of buffered bytes (and message count) over virtual
+    time — which the overhead experiments report. *)
 
 type phase = Short_term | Long_term
 
 type t
 
+type entry
+(** One buffered message. Valid until {!remove}d. *)
+
 val create : sim:Engine.Sim.t -> t
 
-val insert : t -> phase:phase -> Payload.t -> bool
-(** [false] (and no change) if the message was already present. *)
+val set_on_expire : t -> (entry -> unit) -> unit
+(** Install the action run when an entry's retention deadline passes
+    (the default does nothing). The deadline is disarmed by the time
+    the action runs. *)
 
-val find : t -> Protocol.Msg_id.t -> Payload.t option
+val insert : t -> phase:phase -> Payload.t -> entry
+(** Buffer the message in [phase], its deadline disarmed, and return
+    its entry. If the id is already buffered, the existing entry is
+    returned unchanged. *)
+
+val find : t -> Protocol.Msg_id.t -> entry
+(** @raise Not_found if the message is not buffered. *)
 
 val mem : t -> Protocol.Msg_id.t -> bool
 
-val phase_of : t -> Protocol.Msg_id.t -> phase option
+val payload : entry -> Payload.t
 
-val promote : t -> Protocol.Msg_id.t -> bool
-(** Move an entry to [Long_term]; already-long-term entries are left
-    alone. [false] (and no change) if the entry is absent — a
-    promotion can race a discard (e.g. a handoff arriving after the
-    idle timer fired), which must not be fatal. *)
+val phase : entry -> phase
 
-val remove : t -> Protocol.Msg_id.t -> Payload.t option
-(** Discard an entry; [None] if it was not buffered. *)
-
-val stored_at : t -> Protocol.Msg_id.t -> float option
+val stored_at : entry -> float
 (** Virtual time the entry was inserted. *)
+
+val promote : t -> entry -> unit
+(** Move an entry to [Long_term]; a long-term entry is left alone. The
+    deadline is not changed. *)
+
+val remove : t -> entry -> unit
+(** Discard a buffered entry and disarm its deadline. [entry] must
+    still be buffered in [t]. *)
+
+(** {1 The retention deadline}
+
+    {!Engine.Timer.Idle}'s deferred re-arm: a {!touch} pushes an armed
+    deadline back without allocating or scheduling anything. *)
+
+val arm : t -> entry -> timeout:float -> unit
+(** (Re)arm the deadline [timeout] ms from now, replacing any armed
+    one; each later {!touch} pushes it to [timeout] ms after the
+    touch. *)
+
+val touch : t -> entry -> unit
+(** No-op while disarmed. *)
+
+val disarm : entry -> unit
+
+(** {1 Accounting} *)
 
 val size : t -> int
 (** Number of buffered messages. *)
@@ -42,11 +73,11 @@ val bytes : t -> int
 val count_phase : t -> phase -> int
 (** O(1): phase counts are maintained on insert/promote/remove. *)
 
-val iter : t -> (Payload.t -> phase -> unit) -> unit
+val iter : t -> (entry -> unit) -> unit
 (** Visit every entry, in unspecified order, without materializing a
     list. Callers must not depend on the order. *)
 
-val fold : t -> init:'a -> ('a -> Payload.t -> phase -> 'a) -> 'a
+val fold : t -> init:'a -> ('a -> entry -> 'a) -> 'a
 (** Fold over every entry, in unspecified order. *)
 
 val contents : t -> (Payload.t * phase) list

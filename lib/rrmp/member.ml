@@ -78,8 +78,6 @@ type t = {
   observer : Events.observer option;
   observing : bool;  (* [observer <> None]: gates event construction *)
   recoveries : recovery Msg_id.Table.t;
-  idle_timers : Timer.Idle.t Msg_id.Table.t;  (* short-term feedback timers *)
-  lifetime_timers : Timer.Idle.t Msg_id.Table.t;  (* long-term eventual discard *)
   pending_remote : Origins.t Msg_id.Table.t;
       (* origins recorded while we miss the message ourselves *)
   searches : search Msg_id.Table.t;
@@ -168,30 +166,22 @@ let remote_timeout t =
 (* Feedback: requests keep a buffered message alive                    *)
 (* ------------------------------------------------------------------ *)
 
-(* allocation-free: [find]-with-exception rather than [find_opt] (no
-   [Some] box), and [Timer.Idle.touch] defers its re-arm *)
+(* a request for a buffered message pushes its retention deadline
+   back: allocation-free, since [Buffer.touch] defers the re-arm *)
+let touch t e =
+  t.mh_touches := !(t.mh_touches) + 1;
+  Buffer.touch t.buffer e
+
+(* [find]-with-exception rather than an option: no [Some] box *)
 let touch_feedback t id =
   t.mh_touches := !(t.mh_touches) + 1;
-  (match Msg_id.Table.find t.idle_timers id with
-   | timer -> Timer.Idle.touch timer
-   | exception Not_found -> ());
-  match Msg_id.Table.find t.lifetime_timers id with
-  | timer -> Timer.Idle.touch timer
+  match Buffer.find t.buffer id with
+  | e -> Buffer.touch t.buffer e
   | exception Not_found -> ()
 
-let cancel_idle t id =
-  (match Msg_id.Table.find_opt t.idle_timers id with
-   | Some timer ->
-     Timer.Idle.stop timer;
-     Msg_id.Table.remove t.idle_timers id
-   | None -> ());
-  (match Msg_id.Table.find_opt t.lifetime_timers id with
-   | Some timer ->
-     Timer.Idle.stop timer;
-     Msg_id.Table.remove t.lifetime_timers id
-   | None -> ());
-  (* the policy-specific tables are populated only under Fixed_time /
-     Stability: the length guard spares Two_phase runs the hash *)
+(* the policy-specific tables are populated only under Fixed_time /
+   Stability: the length guards spare Two_phase runs the hash *)
+let cancel_policy_timers t id =
   if Msg_id.Table.length t.fixed_timers <> 0 then
     (match Msg_id.Table.find_opt t.fixed_timers id with
      | Some handle ->
@@ -205,46 +195,33 @@ let cancel_idle t id =
       Msg_id.Table.remove t.stable_timers id
     | None -> ()
 
-let buffered_for t id =
-  match Buffer.stored_at t.buffer id with
-  | None -> 0.0
-  | Some at -> now t -. at
-
-let discard t id ~phase =
-  let duration = if t.observing then buffered_for t id else 0.0 in
-  cancel_idle t id;
-  (match Buffer.remove t.buffer id with
-   | Some _ ->
-     t.mh_discarded := !(t.mh_discarded) + 1;
-     if t.observing then emit t (Events.Discarded { id; phase; buffered_for = duration })
-   | None -> ())
+let discard t e ~phase =
+  let id = Payload.id (Buffer.payload e) in
+  let duration = if t.observing then now t -. Buffer.stored_at e else 0.0 in
+  cancel_policy_timers t id;
+  Buffer.remove t.buffer e;
+  t.mh_discarded := !(t.mh_discarded) + 1;
+  if t.observing then emit t (Events.Discarded { id; phase; buffered_for = duration })
 
 (* every entry that becomes long-term (idle promotion, either handoff
    branch, forced state) comes through here, so its eventual discard
    under [long_term_lifetime] is armed however it got the role *)
-let arm_lifetime t id =
+let arm_lifetime t e =
   match t.config.Config.long_term_lifetime with
   | None -> ()
-  | Some lifetime ->
-    let timer =
-      Timer.Idle.create t.sim ~timeout:lifetime ~on_idle:(fun () ->
-          Msg_id.Table.remove t.lifetime_timers id;
-          discard t id ~phase:Buffer.Long_term)
-    in
-    Msg_id.Table.replace t.lifetime_timers id timer
+  | Some lifetime -> Buffer.arm t.buffer e ~timeout:lifetime
 
-let promote t id =
-  if Buffer.promote t.buffer id then begin
-    if t.observing then emit t (Events.Promoted_long_term id);
-    arm_lifetime t id
-  end
-  else if t.observing then emit t (Events.Promotion_skipped id)
+let promote t e =
+  Buffer.promote t.buffer e;
+  if t.observing then emit t (Events.Promoted_long_term (Payload.id (Buffer.payload e)));
+  arm_lifetime t e
 
 (* the idle threshold elapsed: randomized long-term buffering decision
    (Section 3.2) *)
-let become_idle t id =
-  Msg_id.Table.remove t.idle_timers id;
-  if t.observing then emit t (Events.Became_idle { id; buffered_for = buffered_for t id });
+let become_idle t e =
+  let id = Payload.id (Buffer.payload e) in
+  if t.observing then
+    emit t (Events.Became_idle { id; buffered_for = now t -. Buffer.stored_at e });
   let n = View.local_size t.view in
   let c = t.config.Config.expected_bufferers in
   let keeps =
@@ -252,21 +229,23 @@ let become_idle t id =
     | Config.Randomized -> Long_term.decide t.rng ~c ~n
     | Config.Hashed -> Long_term.hashed_decide ~node:t.node ~id ~c ~n
   in
-  if keeps then promote t id else discard t id ~phase:Buffer.Short_term
+  if keeps then promote t e else discard t e ~phase:Buffer.Short_term
 
-let start_idle_timer t id =
-  let timer =
-    Timer.Idle.create t.sim ~timeout:(idle_threshold t) ~on_idle:(fun () -> become_idle t id)
-  in
-  Msg_id.Table.replace t.idle_timers id timer
+(* an entry's one retention deadline passed: the idle threshold while
+   short-term, the lifetime once long-term *)
+let expire t e =
+  match Buffer.phase e with
+  | Buffer.Short_term -> become_idle t e
+  | Buffer.Long_term -> discard t e ~phase:Buffer.Long_term
 
 (* Stability policy: a buffered message may be discarded
    [hold_after_stable] after every region member is known (through
    history exchange) to have received it *)
-let check_stability t id =
+let check_stability t e =
   match t.config.Config.buffering with
   | Config.Stability { hold_after_stable; _ } ->
-    if Buffer.mem t.buffer id && not (Msg_id.Table.mem t.stable_timers id) then begin
+    let id = Payload.id (Buffer.payload e) in
+    if not (Msg_id.Table.mem t.stable_timers id) then begin
       let peer_has node =
         match Node_id.Table.find_opt t.peer_digests node with
         | None -> false
@@ -276,7 +255,7 @@ let check_stability t id =
         let handle =
           Sim.schedule t.sim ~delay:hold_after_stable (fun () ->
               Msg_id.Table.remove t.stable_timers id;
-              discard t id ~phase:Buffer.Short_term)
+              discard t e ~phase:Buffer.Short_term)
         in
         Msg_id.Table.replace t.stable_timers id handle
       end
@@ -285,35 +264,39 @@ let check_stability t id =
 
 (* start the retention clock appropriate to the configured policy when
    a message enters the buffer *)
-let start_retention t id =
+let start_retention t e =
   match t.config.Config.buffering with
-  | Config.Two_phase -> start_idle_timer t id
+  | Config.Two_phase -> Buffer.arm t.buffer e ~timeout:(idle_threshold t)
   | Config.Fixed_time period ->
+    let id = Payload.id (Buffer.payload e) in
     let handle =
       Sim.schedule t.sim ~delay:period (fun () ->
           Msg_id.Table.remove t.fixed_timers id;
-          discard t id ~phase:Buffer.Short_term)
+          discard t e ~phase:Buffer.Short_term)
     in
     Msg_id.Table.replace t.fixed_timers id handle
-  | Config.Stability _ -> check_stability t id
+  | Config.Stability _ -> check_stability t e
   | Config.Buffer_all -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Error recovery (Section 2.2)                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* [recoveries], [pending_remote] and [searches] are empty for most
+   deliveries: a length guard spares those the hash *)
 let cancel_recovery t id =
-  match Msg_id.Table.find_opt t.recoveries id with
-  | None -> ()
-  | Some r ->
-    Option.iter Sim.cancel r.local_timer;
-    Option.iter Sim.cancel r.remote_timer;
-    if r.local_tries > 0 then note_rtt_sample t (now t -. r.last_probe_at);
-    Msg_id.Table.remove t.recoveries id;
-    if t.observing then
-      emit t
-        (Events.Recovered
-           { id; latency = now t -. r.detected_at; local_tries = r.local_tries })
+  if Msg_id.Table.length t.recoveries <> 0 then
+    match Msg_id.Table.find_opt t.recoveries id with
+    | None -> ()
+    | Some r ->
+      Option.iter Sim.cancel r.local_timer;
+      Option.iter Sim.cancel r.remote_timer;
+      if r.local_tries > 0 then note_rtt_sample t (now t -. r.last_probe_at);
+      Msg_id.Table.remove t.recoveries id;
+      if t.observing then
+        emit t
+          (Events.Recovered
+             { id; latency = now t -. r.detected_at; local_tries = r.local_tries })
 
 let tries_exhausted t tries =
   match t.config.Config.max_recovery_tries with
@@ -453,26 +436,25 @@ let start_search t id ~origin =
     Msg_id.Table.add t.searches id s;
     search_round t id s
 
-(* this member buffers [id] and was asked for it on behalf of [origin];
+(* [e] is buffered here and was asked for on behalf of [origin];
    [ack] is the searcher that forwarded the probe (if any): it gets a
    direct "I have the message" so its search terminates even when the
    region-wide announcement happened before it joined *)
-let serve_from_buffer t id ~origin ?ack ~announce () =
-  touch_feedback t id;
-  match Buffer.find t.buffer id with
-  | None -> ()
-  | Some payload ->
-    send t ~dst:origin (Wire.Repair payload);
-    if t.observing then emit t (Events.Search_satisfied { id; origin });
-    if announce then begin
-      if not (Msg_id.Table.mem t.have_announced id) then begin
-        Msg_id.Table.add t.have_announced id ();
-        regional t (Wire.Have id)
-      end;
-      match ack with
-      | Some searcher -> send t ~dst:searcher (Wire.Have id)
-      | None -> ()
-    end
+let serve_from_buffer t e ~origin ?ack ~announce () =
+  let payload = Buffer.payload e in
+  let id = Payload.id payload in
+  touch t e;
+  send t ~dst:origin (Wire.Repair payload);
+  if t.observing then emit t (Events.Search_satisfied { id; origin });
+  if announce then begin
+    if not (Msg_id.Table.mem t.have_announced id) then begin
+      Msg_id.Table.add t.have_announced id ();
+      regional t (Wire.Have id)
+    end;
+    match ack with
+    | Some searcher -> send t ~dst:searcher (Wire.Have id)
+    | None -> ()
+  end
 
 (* ------------------------------------------------------------------ *)
 (* Receiving the message body                                          *)
@@ -481,20 +463,22 @@ let serve_from_buffer t id ~origin ?ack ~announce () =
 let relay_to_waiters t payload =
   let id = Payload.id payload in
   (* downstream origins recorded while we missed the message *)
-  (match Msg_id.Table.find_opt t.pending_remote id with
-   | None -> ()
-   | Some waiting ->
-     let repair = Wire.Repair payload in
-     Origins.iter waiting (fun origin -> send t ~dst:origin repair);
-     Msg_id.Table.remove t.pending_remote id);
+  if Msg_id.Table.length t.pending_remote <> 0 then
+    (match Msg_id.Table.find_opt t.pending_remote id with
+     | None -> ()
+     | Some waiting ->
+       let repair = Wire.Repair payload in
+       Origins.iter waiting (fun origin -> send t ~dst:origin repair);
+       Msg_id.Table.remove t.pending_remote id);
   (* origins of a search we were running: we can serve them directly *)
-  match Msg_id.Table.find_opt t.searches id with
-  | None -> ()
-  | Some s ->
-    let repair = Wire.Repair payload in
-    Origins.iter s.origins (fun origin -> send t ~dst:origin repair);
-    Origins.clear s.origins;
-    cancel_search t id
+  if Msg_id.Table.length t.searches <> 0 then
+    match Msg_id.Table.find_opt t.searches id with
+    | None -> ()
+    | Some s ->
+      let repair = Wire.Repair payload in
+      Origins.iter s.origins (fun origin -> send t ~dst:origin repair);
+      Origins.clear s.origins;
+      cancel_search t id
 
 let schedule_regional_repair t payload =
   let id = Payload.id payload in
@@ -536,10 +520,9 @@ let accept t payload ~via =
     in
     emit t (Events.Delivered { id; via = delivered_via })
   end;
-  if Buffer.insert t.buffer ~phase:Buffer.Short_term payload then begin
-    start_retention t id;
-    if t.observing then emit t (Events.Buffered { id; phase = Buffer.Short_term })
-  end;
+  (* first delivery: the message is not buffered yet *)
+  start_retention t (Buffer.insert t.buffer ~phase:Buffer.Short_term payload);
+  if t.observing then emit t (Events.Buffered { id; phase = Buffer.Short_term });
   relay_to_waiters t payload;
   (* a repair obtained from a remote region is multicast locally so
      neighbours sharing the loss receive it (Section 2.2) *)
@@ -561,16 +544,15 @@ let handle_session t ~source ~max_seq =
   List.iter (start_recovery t) losses
 
 let handle_local_request t id ~src =
-  if Buffer.mem t.buffer id then begin
-    touch_feedback t id;
-    match Buffer.find t.buffer id with
-    | Some payload -> send t ~dst:src (Wire.Repair payload)
-    | None -> ()
-  end
-  else if t.observing then
-    (* the paper: a member without the message ignores the request; the
-       requester will time out and probe someone else *)
-    emit t (Events.Request_unanswerable id)
+  match Buffer.find t.buffer id with
+  | e ->
+    touch t e;
+    send t ~dst:src (Wire.Repair (Buffer.payload e))
+  | exception Not_found ->
+    if t.observing then
+      (* the paper: a member without the message ignores the request;
+         the requester will time out and probe someone else *)
+      emit t (Events.Request_unanswerable id)
 
 let record_pending_remote t id origin =
   let waiting =
@@ -586,15 +568,17 @@ let record_pending_remote t id origin =
 (* Section 3.3: the three cases for a remote (or forwarded-search)
    request *)
 let handle_request_for_discardable t id ~origin ?ack ~announce_on_hit () =
-  if Buffer.mem t.buffer id then serve_from_buffer t id ~origin ?ack ~announce:announce_on_hit ()
-  else if not (Recv_log.received t.recv id) then begin
-    (* never received: remember the requester, relay when it arrives *)
-    record_pending_remote t id origin;
-    note_existence t id
-  end
-  else
-    (* received but discarded: search the region for a bufferer *)
-    start_search t id ~origin
+  match Buffer.find t.buffer id with
+  | e -> serve_from_buffer t e ~origin ?ack ~announce:announce_on_hit ()
+  | exception Not_found ->
+    if not (Recv_log.received t.recv id) then begin
+      (* never received: remember the requester, relay when it arrives *)
+      record_pending_remote t id origin;
+      note_existence t id
+    end
+    else
+      (* received but discarded: search the region for a bufferer *)
+      start_search t id ~origin
 
 let handle_remote_request t id ~origin =
   handle_request_for_discardable t id ~origin ~announce_on_hit:false ()
@@ -625,21 +609,22 @@ let handle_regional_repair t payload =
 
 let handle_have t id ~src =
   Msg_id.Table.replace t.known_bufferer id src;
-  match Msg_id.Table.find_opt t.searches id with
-  | None -> ()
-  | Some s ->
-    (* the announcer buffers the message: point the remaining origins'
-       probes straight at it *)
-    Origins.iter s.origins (fun origin -> send t ~dst:src (Wire.Search { id; origin }));
-    Origins.clear s.origins;
-    cancel_search t id
+  if Msg_id.Table.length t.searches <> 0 then
+    match Msg_id.Table.find_opt t.searches id with
+    | None -> ()
+    | Some s ->
+      (* the announcer buffers the message: point the remaining
+         origins' probes straight at it *)
+      Origins.iter s.origins (fun origin -> send t ~dst:src (Wire.Search { id; origin }));
+      Origins.clear s.origins;
+      cancel_search t id
 
 (* index the digest once (every buffered id probes it), then revisit
    each buffered entry; stability of one entry is independent of the
    others, so the unspecified iteration order is fine *)
 let handle_history t digest ~src =
   Node_id.Table.replace t.peer_digests src (Recv_log.index digest);
-  Buffer.iter t.buffer (fun payload _phase -> check_stability t (Payload.id payload))
+  Buffer.iter t.buffer (check_stability t)
 
 let handle_handoff t payloads ~src =
   if t.observing then
@@ -647,17 +632,17 @@ let handle_handoff t payloads ~src =
   List.iter
     (fun payload ->
       let id = Payload.id payload in
-      if Buffer.mem t.buffer id then begin
-        (* we already buffer it: take over the long-term role *)
-        match Buffer.phase_of t.buffer id with
-        | Some Buffer.Short_term ->
-          cancel_idle t id;
-          (* cancel_idle can fire a pending discard, so the entry may
-             be gone by now: promotion of an absent id is a no-op *)
-          promote t id
-        | Some Buffer.Long_term | None -> ()
-      end
-      else begin
+      match Buffer.find t.buffer id with
+      | e -> (
+        (* we already buffer it: take over the long-term role, trading
+           the short-term retention clock for the lifetime *)
+        match Buffer.phase e with
+        | Buffer.Short_term ->
+          Buffer.disarm e;
+          cancel_policy_timers t id;
+          promote t e
+        | Buffer.Long_term -> ())
+      | exception Not_found ->
         if Recv_log.note_repaired t.recv id then begin
           cancel_recovery t id;
           t.delivered <- t.delivered + 1;
@@ -665,9 +650,8 @@ let handle_handoff t payloads ~src =
           if t.observing then emit t (Events.Delivered { id; via = `Repair });
           relay_to_waiters t payload
         end;
-        if Buffer.insert t.buffer ~phase:Buffer.Long_term payload then arm_lifetime t id;
-        if t.observing then emit t (Events.Buffered { id; phase = Buffer.Long_term })
-      end)
+        arm_lifetime t (Buffer.insert t.buffer ~phase:Buffer.Long_term payload);
+        if t.observing then emit t (Events.Buffered { id; phase = Buffer.Long_term }))
     payloads
 
 let handle_delivery t (delivery : Wire.t Network.delivery) =
@@ -720,8 +704,6 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       observer;
       observing = observer <> None;
       recoveries = Msg_id.Table.create 16;
-      idle_timers = Msg_id.Table.create 16;
-      lifetime_timers = Msg_id.Table.create 16;
       pending_remote = Msg_id.Table.create 8;
       searches = Msg_id.Table.create 8;
       have_announced = Msg_id.Table.create 8;
@@ -742,6 +724,7 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       mh_discarded = mh "rrmp.discarded";
     }
   in
+  Buffer.set_on_expire t.buffer (expire t);
   Network.register net node (handle_delivery t);
   (match config.Config.buffering with
    | Config.Stability { exchange_interval; _ } ->
@@ -781,10 +764,8 @@ let own_send_bookkeeping t payload =
   ignore (Recv_log.note_data t.recv id);
   t.delivered <- t.delivered + 1;
   t.mh_delivered := !(t.mh_delivered) + 1;
-  if Buffer.insert t.buffer ~phase:Buffer.Short_term payload then begin
-    start_retention t id;
-    if t.observing then emit t (Events.Buffered { id; phase = Buffer.Short_term })
-  end
+  start_retention t (Buffer.insert t.buffer ~phase:Buffer.Short_term payload);
+  if t.observing then emit t (Events.Buffered { id; phase = Buffer.Short_term })
 
 let multicast t ?size () =
   let payload = fresh_payload t ~size in
@@ -806,7 +787,10 @@ let has_received t id = Recv_log.received t.recv id
 
 let buffers t id = Buffer.mem t.buffer id
 
-let buffer_phase t id = Buffer.phase_of t.buffer id
+let buffer_phase t id =
+  match Buffer.find t.buffer id with
+  | e -> Some (Buffer.phase e)
+  | exception Not_found -> None
 
 let buffer_size t = Buffer.size t.buffer
 
@@ -829,10 +813,7 @@ let searching t id = Msg_id.Table.mem t.searches id
 let[@lint.allow
      "D2 teardown cancels are order-insensitive: Sim.cancel and Timer stops only \
       lazy-invalidate handles and emit no observable event"] stop_all_timers t =
-  Msg_id.Table.iter (fun _ timer -> Timer.Idle.stop timer) t.idle_timers;
-  Msg_id.Table.reset t.idle_timers;
-  Msg_id.Table.iter (fun _ timer -> Timer.Idle.stop timer) t.lifetime_timers;
-  Msg_id.Table.reset t.lifetime_timers;
+  Buffer.iter t.buffer Buffer.disarm;
   Msg_id.Table.iter
     (fun _ r ->
       Option.iter Sim.cancel r.local_timer;
@@ -953,7 +934,9 @@ let force_buffer t ~phase payload =
   let id = Payload.id payload in
   ignore (Recv_log.note_data t.recv id);
   cancel_recovery t id;
-  if Buffer.insert t.buffer ~phase payload then
+  if not (Buffer.mem t.buffer id) then begin
+    let e = Buffer.insert t.buffer ~phase payload in
     match phase with
-    | Buffer.Short_term -> start_retention t id
-    | Buffer.Long_term -> arm_lifetime t id
+    | Buffer.Short_term -> start_retention t e
+    | Buffer.Long_term -> arm_lifetime t e
+  end

@@ -68,9 +68,10 @@ val create :
     receives [rrmp.delivered] / [rrmp.feedback_touches] /
     [rrmp.discarded] counters through pre-resolved handles.
 
-    Each buffered message's idle deadline (and, once long-term, its
-    lifetime deadline) is one exact {!Engine.Timer.Idle}; a feedback
-    touch pushes it back without allocating or scheduling.
+    Each buffered message is one {!Buffer} entry carrying one exact
+    retention deadline: the idle threshold while short-term, the
+    lifetime once long-term. A feedback touch pushes it back without
+    allocating or scheduling.
     {!Config.t.deadline_quantum} is ignored here.
     @raise Invalid_argument if [node] is not in the network's topology
     or the config fails {!Config.validate}. *)

@@ -4,7 +4,8 @@
    scheduler entry and a closure. test_idle_lockstep.ml requires the
    production timer, which defers its re-arm to the stale event's
    firing, to fire at the same instants and in the same order among
-   other events as this model. The interface mirrors Timer.Idle. *)
+   other events as this model, through the IDLE signature of that
+   suite. *)
 
 module Sim = Engine.Sim
 

@@ -1,6 +1,6 @@
 (* Reference model for Engine.Sim: one queue ordered by (fire-time,
-   sequence number), without Sim's head cache, timer wheel and
-   far-future heap. test_engine.ml requires Sim to fire the same events
+   sequence number), without Sim's timer wheel and far chain.
+   test_engine.ml requires Sim to fire the same events
    at the same instants, end on the same clock and count the same
    executions as this model for any schedule. The rules it keeps:
    - an event due in the past is clamped to now;

@@ -42,6 +42,7 @@ let suites =
         gate "alloc/gap-note";
         gate "alloc/local-repair";
         gate "alloc/remote-repair";
+        gate "alloc/member-buffer";
         gate "alloc/regional-fanout";
         gate "alloc/deadline-touch";
         gate "alloc/sim-schedule";

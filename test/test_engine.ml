@@ -251,7 +251,12 @@ let test_sim_max_events () =
   in
   ignore (Sim.schedule sim ~delay:1.0 tick);
   Sim.run ~max_events:50 sim;
-  Alcotest.(check int) "stopped at cap" 50 !count
+  Alcotest.(check int) "stopped at cap" 50 !count;
+  (* the cap bounds the sim's cumulative count, not this call's *)
+  Sim.run ~max_events:50 sim;
+  Alcotest.(check int) "a second run to the same cap runs nothing" 50 !count;
+  Sim.run ~max_events:(Sim.events_executed sim + 3) sim;
+  Alcotest.(check int) "a cap 3 past the count runs 3" 53 !count
 
 let test_sim_events_executed_excludes_cancelled () =
   let sim = Sim.create () in
@@ -402,26 +407,34 @@ let qcheck_sim_reference_equivalence =
 (* Timer                                                               *)
 (* ------------------------------------------------------------------ *)
 
+(* an armed idle deadline and its one action, which runs [on_idle] once
+   the quiet period really elapses *)
+let idle_timer sim ~timeout on_idle =
+  let idle = Timer.Idle.create () in
+  let rec action () = if Timer.Idle.expired sim idle action then on_idle () in
+  Timer.Idle.arm sim idle ~timeout action;
+  (idle, action)
+
 let test_idle_fires_without_touch () =
   let sim = Sim.create () in
   let fired_at = ref (-1.0) in
-  let _ = Timer.Idle.create sim ~timeout:40.0 ~on_idle:(fun () -> fired_at := Sim.now sim) in
+  let _ = idle_timer sim ~timeout:40.0 (fun () -> fired_at := Sim.now sim) in
   Sim.run sim;
   check_float "fires after timeout" 40.0 !fired_at
 
 let test_idle_touch_postpones () =
   let sim = Sim.create () in
   let fired_at = ref (-1.0) in
-  let idle = Timer.Idle.create sim ~timeout:40.0 ~on_idle:(fun () -> fired_at := Sim.now sim) in
-  ignore (Sim.schedule sim ~delay:30.0 (fun () -> Timer.Idle.touch idle));
-  ignore (Sim.schedule sim ~delay:60.0 (fun () -> Timer.Idle.touch idle));
+  let idle, _ = idle_timer sim ~timeout:40.0 (fun () -> fired_at := Sim.now sim) in
+  ignore (Sim.schedule sim ~delay:30.0 (fun () -> Timer.Idle.touch sim idle));
+  ignore (Sim.schedule sim ~delay:60.0 (fun () -> Timer.Idle.touch sim idle));
   Sim.run sim;
   check_float "fires 40ms after last touch" 100.0 !fired_at
 
 let test_idle_stop () =
   let sim = Sim.create () in
   let fired = ref false in
-  let idle = Timer.Idle.create sim ~timeout:10.0 ~on_idle:(fun () -> fired := true) in
+  let idle, _ = idle_timer sim ~timeout:10.0 (fun () -> fired := true) in
   Timer.Idle.stop idle;
   Sim.run sim;
   Alcotest.(check bool) "stopped never fires" false !fired;
@@ -430,18 +443,13 @@ let test_idle_stop () =
 let test_idle_restart () =
   let sim = Sim.create () in
   let fires = ref [] in
-  let idle =
-    Timer.Idle.create sim ~timeout:10.0 ~on_idle:(fun () -> ())
-  in
-  (* replace on_idle behaviour by observing via restart pattern *)
-  Timer.Idle.stop idle;
-  let idle2 =
-    Timer.Idle.create sim ~timeout:10.0 ~on_idle:(fun () -> fires := Sim.now sim :: !fires)
-  in
-  ignore
-    (Sim.schedule sim ~delay:25.0 (fun () -> Timer.Idle.restart idle2));
+  let idle, action = idle_timer sim ~timeout:10.0 (fun () -> fires := Sim.now sim :: !fires) in
+  (* re-arming a fired deadline runs the same action again; re-arming
+     an armed one replaces it *)
+  ignore (Sim.schedule sim ~delay:25.0 (fun () -> Timer.Idle.arm sim idle ~timeout:10.0 action));
+  ignore (Sim.schedule sim ~delay:30.0 (fun () -> Timer.Idle.arm sim idle ~timeout:10.0 action));
   Sim.run sim;
-  Alcotest.(check (list (float 1e-9))) "fired twice" [ 10.0; 35.0 ] (List.rev !fires)
+  Alcotest.(check (list (float 1e-9))) "fired twice" [ 10.0; 40.0 ] (List.rev !fires)
 
 let test_periodic_ticks () =
   let sim = Sim.create () in

@@ -10,7 +10,6 @@
    other event in the same order. *)
 
 module Sim = Engine.Sim
-module Idle = Engine.Timer.Idle
 
 module type IDLE = sig
   type t
@@ -20,6 +19,25 @@ module type IDLE = sig
   val stop : t -> unit
   val restart : t -> unit
   val active : t -> bool
+end
+
+(* Timer.Idle behind the eager reference's interface: the deadline plus
+   the one action its owner keeps, as a buffer entry holds them *)
+module Idle = struct
+  module I = Engine.Timer.Idle
+
+  type t = { sim : Sim.t; idle : I.t; timeout : float; mutable action : unit -> unit }
+
+  let create sim ~timeout ~on_idle =
+    let t = { sim; idle = I.create (); timeout; action = ignore } in
+    t.action <- (fun () -> if I.expired sim t.idle t.action then on_idle ());
+    I.arm sim t.idle ~timeout t.action;
+    t
+
+  let touch t = I.touch t.sim t.idle
+  let stop t = I.stop t.idle
+  let restart t = I.arm t.sim t.idle ~timeout:t.timeout t.action
+  let active t = I.active t.idle
 end
 
 type entry =

@@ -69,6 +69,59 @@ let test_left_mid_flight_dropped () =
   Alcotest.(check (list (pair int int))) "nothing delivered" [] !log;
   Alcotest.(check int) "dead" 1 (Network.stats net ~cls:"c").Network.dropped_dead
 
+(* handlers sit in slots indexed by node id: an emptied slot, a slot
+   grown for a late joiner and an overwritten slot *)
+let test_unregistered_member_dropped () =
+  let topology = Topology.single_region ~size:2 in
+  let sim, net = make_net ~topology () in
+  let log = ref [] in
+  collect net (Node_id.of_int 1) log;
+  Network.unicast net ~cls:"c" ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 1) (Ping 1);
+  Engine.Sim.run sim;
+  Network.unregister net (Node_id.of_int 1);
+  Network.unicast net ~cls:"c" ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 1) (Ping 2);
+  Engine.Sim.run sim;
+  Alcotest.(check bool) "still a member" true (Topology.is_member topology (Node_id.of_int 1));
+  Alcotest.(check (list (pair int int))) "only the first arrives" [ (0, 1) ] !log;
+  let stats = Network.stats net ~cls:"c" in
+  Alcotest.(check int) "delivered" 1 stats.Network.delivered;
+  Alcotest.(check int) "dead" 1 stats.Network.dropped_dead
+
+let test_late_joiner_receives () =
+  let topology = Topology.single_region ~size:2 in
+  let sim, net = make_net ~topology () in
+  let first = ref [] in
+  collect net (Node_id.of_int 0) first;
+  collect net (Node_id.of_int 1) (ref []);
+  (* three nodes join after the network was built; only the last
+     registers, with an id past every earlier one *)
+  let region = List.hd (Topology.regions topology) in
+  let joined = List.init 3 (fun _ -> Topology.add_node topology region) in
+  let silent = List.nth joined 1 and late = List.nth joined 2 in
+  let log = ref [] in
+  collect net late log;
+  Network.unicast net ~cls:"c" ~src:(Node_id.of_int 0) ~dst:late (Ping 7);
+  Network.unicast net ~cls:"c" ~src:late ~dst:(Node_id.of_int 0) (Ping 8);
+  Network.unicast net ~cls:"c" ~src:late ~dst:silent (Ping 9);
+  Engine.Sim.run sim;
+  Alcotest.(check (list (pair int int))) "late joiner receives" [ (0, 7) ] !log;
+  Alcotest.(check (list (pair int int))) "and is heard" [ (Node_id.to_int late, 8) ] !first;
+  Alcotest.(check int) "unregistered joiner drops" 1
+    (Network.stats net ~cls:"c").Network.dropped_dead
+
+let test_register_replaces () =
+  let topology = Topology.single_region ~size:2 in
+  let sim, net = make_net ~topology () in
+  let old_log = ref [] and new_log = ref [] in
+  collect net (Node_id.of_int 1) old_log;
+  Network.unicast net ~cls:"c" ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 1) (Ping 1);
+  Engine.Sim.run sim;
+  collect net (Node_id.of_int 1) new_log;
+  Network.unicast net ~cls:"c" ~src:(Node_id.of_int 0) ~dst:(Node_id.of_int 1) (Ping 2);
+  Engine.Sim.run sim;
+  Alcotest.(check (list (pair int int))) "old handler" [ (0, 1) ] !old_log;
+  Alcotest.(check (list (pair int int))) "new handler" [ (0, 2) ] !new_log
+
 let test_bernoulli_loss_accounting () =
   let topology = Topology.single_region ~size:2 in
   let sim, net = make_net ~loss:(Loss.Bernoulli 0.5) ~topology () in
@@ -187,6 +240,9 @@ let suites =
         Alcotest.test_case "inter-region delay" `Quick test_inter_region_delay;
         Alcotest.test_case "unregistered dropped" `Quick test_unregistered_dropped_dead;
         Alcotest.test_case "left mid-flight" `Quick test_left_mid_flight_dropped;
+        Alcotest.test_case "unregistered member dropped" `Quick test_unregistered_member_dropped;
+        Alcotest.test_case "late joiner receives" `Quick test_late_joiner_receives;
+        Alcotest.test_case "register replaces" `Quick test_register_replaces;
         Alcotest.test_case "bernoulli accounting" `Quick test_bernoulli_loss_accounting;
         Alcotest.test_case "regional multicast scope" `Quick test_regional_multicast_scope;
         Alcotest.test_case "regional include_src" `Quick test_regional_multicast_include_src;

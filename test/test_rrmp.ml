@@ -70,28 +70,31 @@ let test_buffer_insert_find_remove () =
   let sim = Engine.Sim.create () in
   let b = Buffer.create ~sim in
   let p = Payload.make ~size:100 (mid 0) in
-  Alcotest.(check bool) "insert" true (Buffer.insert b ~phase:Buffer.Short_term p);
-  Alcotest.(check bool) "reinsert refused" false (Buffer.insert b ~phase:Buffer.Long_term p);
+  let e = Buffer.insert b ~phase:Buffer.Short_term p in
+  Alcotest.(check bool) "reinsert returns the entry" true
+    (Buffer.insert b ~phase:Buffer.Long_term (Payload.make ~size:7 (mid 0)) == e);
   Alcotest.(check bool) "mem" true (Buffer.mem b (mid 0));
+  Alcotest.(check bool) "find" true (Buffer.find b (mid 0) == e);
+  Alcotest.(check bool) "same payload" true (Payload.equal (Buffer.payload e) p);
   Alcotest.(check int) "bytes" 100 (Buffer.bytes b);
-  Alcotest.(check bool) "phase" true (Buffer.phase_of b (mid 0) = Some Buffer.Short_term);
-  Alcotest.(check bool) "promote" true (Buffer.promote b (mid 0));
-  Alcotest.(check bool) "promoted" true (Buffer.phase_of b (mid 0) = Some Buffer.Long_term);
-  (match Buffer.remove b (mid 0) with
-   | Some removed -> Alcotest.(check bool) "same payload" true (Payload.equal removed p)
-   | None -> Alcotest.fail "expected payload");
+  Alcotest.(check bool) "phase" true (Buffer.phase e = Buffer.Short_term);
+  Buffer.promote b e;
+  Alcotest.(check bool) "promoted" true (Buffer.phase e = Buffer.Long_term);
+  Buffer.remove b e;
   Alcotest.(check int) "empty" 0 (Buffer.size b);
-  Alcotest.(check bool) "remove missing" true (Buffer.remove b (mid 0) = None)
+  Alcotest.(check int) "no bytes" 0 (Buffer.bytes b);
+  Alcotest.(check bool) "find missing" true
+    (match Buffer.find b (mid 0) with _ -> false | exception Not_found -> true)
 
 let test_buffer_occupancy_integral () =
   let sim = Engine.Sim.create () in
   let b = Buffer.create ~sim in
-  ignore (Sim_helpers.at sim 0.0 (fun () ->
-      ignore (Buffer.insert b ~phase:Buffer.Short_term (Payload.make ~size:10 (mid 0)))));
-  ignore (Sim_helpers.at sim 10.0 (fun () ->
-      ignore (Buffer.insert b ~phase:Buffer.Short_term (Payload.make ~size:10 (mid 1)))));
-  ignore (Sim_helpers.at sim 30.0 (fun () -> ignore (Buffer.remove b (mid 0))));
-  ignore (Sim_helpers.at sim 50.0 (fun () -> ignore (Buffer.remove b (mid 1))));
+  let insert seq = ignore (Buffer.insert b ~phase:Buffer.Short_term (Payload.make ~size:10 (mid seq))) in
+  let remove seq = Buffer.remove b (Buffer.find b (mid seq)) in
+  ignore (Sim_helpers.at sim 0.0 (fun () -> insert 0));
+  ignore (Sim_helpers.at sim 10.0 (fun () -> insert 1));
+  ignore (Sim_helpers.at sim 30.0 (fun () -> remove 0));
+  ignore (Sim_helpers.at sim 50.0 (fun () -> remove 1));
   Engine.Sim.run sim;
   (* msg-ms: 1 msg for [0,10) + 2 for [10,30) + 1 for [30,50) = 10+40+20 = 70 *)
   Alcotest.(check (float 1e-6)) "msg-ms" 70.0 (Buffer.occupancy_msg_ms b);
@@ -109,36 +112,52 @@ let test_buffer_long_term_payloads () =
   Alcotest.(check (list int)) "long-term ids" [ 1; 2 ]
     (List.map (fun p -> Msg_id.seq (Payload.id p)) (Buffer.long_term_payloads b))
 
-let test_buffer_promote_absent_is_noop () =
+(* the retention deadline an entry carries: it fires the buffer's
+   expiry action once, feedback pushes it back, and removal disarms it *)
+let test_buffer_deadline () =
   let sim = Engine.Sim.create () in
   let b = Buffer.create ~sim in
-  (* promoting an id that was never (or no longer) buffered must not
-     raise: a handoff can race a discard *)
-  Alcotest.(check bool) "absent promote refused" false (Buffer.promote b (mid 0));
-  ignore (Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid 0)));
-  ignore (Buffer.remove b (mid 0));
-  Alcotest.(check bool) "discarded promote refused" false (Buffer.promote b (mid 0));
-  Alcotest.(check int) "no phantom long-term entry" 0 (Buffer.count_phase b Buffer.Long_term)
+  let expired = ref [] in
+  Buffer.set_on_expire b (fun e ->
+      expired := (Msg_id.seq (Payload.id (Buffer.payload e)), Engine.Sim.now sim) :: !expired);
+  let e0 = Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid 0)) in
+  let e1 = Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid 1)) in
+  let e2 = Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid 2)) in
+  List.iter (fun e -> Buffer.arm b e ~timeout:10.0) [ e0; e1; e2 ];
+  ignore (Sim_helpers.at sim 6.0 (fun () -> Buffer.touch b e1));
+  ignore (Sim_helpers.at sim 8.0 (fun () -> Buffer.remove b e2));
+  Engine.Sim.run sim;
+  Alcotest.(check (list (pair int (float 1e-9)))) "expiries" [ (0, 10.0); (1, 16.0) ]
+    (List.rev !expired);
+  (* a promoted entry re-armed for its lifetime: a disarm wins *)
+  Buffer.promote b e0;
+  Buffer.arm b e0 ~timeout:100.0;
+  Buffer.disarm e0;
+  Engine.Sim.run sim;
+  Alcotest.(check int) "disarmed never fires" 2 (List.length !expired);
+  Alcotest.(check int) "long-term entry stays" 1 (Buffer.count_phase b Buffer.Long_term)
 
 let test_buffer_phase_counters () =
   let sim = Engine.Sim.create () in
   let b = Buffer.create ~sim in
-  for seq = 0 to 4 do
-    ignore (Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid seq)))
-  done;
+  let entries =
+    Array.init 5 (fun seq -> Buffer.insert b ~phase:Buffer.Short_term (Payload.make (mid seq)))
+  in
   ignore (Buffer.insert b ~phase:Buffer.Long_term (Payload.make (mid 5)));
   Alcotest.(check int) "short" 5 (Buffer.count_phase b Buffer.Short_term);
   Alcotest.(check int) "long" 1 (Buffer.count_phase b Buffer.Long_term);
-  Alcotest.(check bool) "promote" true (Buffer.promote b (mid 0));
-  Alcotest.(check bool) "re-promote is idempotent" true (Buffer.promote b (mid 0));
+  Buffer.promote b entries.(0);
+  Buffer.promote b entries.(0);
   Alcotest.(check int) "short after promote" 4 (Buffer.count_phase b Buffer.Short_term);
-  Alcotest.(check int) "long after promote" 2 (Buffer.count_phase b Buffer.Long_term);
-  ignore (Buffer.remove b (mid 0));
-  ignore (Buffer.remove b (mid 1));
+  Alcotest.(check int) "long after (re-)promote" 2 (Buffer.count_phase b Buffer.Long_term);
+  Buffer.remove b entries.(0);
+  Buffer.remove b entries.(1);
   Alcotest.(check int) "short after removes" 3 (Buffer.count_phase b Buffer.Short_term);
   Alcotest.(check int) "long after removes" 1 (Buffer.count_phase b Buffer.Long_term);
   (* counters must always agree with a full scan *)
-  let scan phase = Buffer.fold b ~init:0 (fun acc _ p -> if p = phase then acc + 1 else acc) in
+  let scan phase =
+    Buffer.fold b ~init:0 (fun acc e -> if Buffer.phase e = phase then acc + 1 else acc)
+  in
   Alcotest.(check int) "short matches scan" (scan Buffer.Short_term)
     (Buffer.count_phase b Buffer.Short_term);
   Alcotest.(check int) "long matches scan" (scan Buffer.Long_term)
@@ -154,11 +173,10 @@ let test_buffer_iter_fold_match_contents () =
   let via_contents =
     List.map (fun (p, phase) -> (Msg_id.seq (Payload.id p), phase)) (Buffer.contents b)
   in
-  let via_fold =
-    Buffer.fold b ~init:[] (fun acc p phase -> (Msg_id.seq (Payload.id p), phase) :: acc)
-  in
+  let view e = (Msg_id.seq (Payload.id (Buffer.payload e)), Buffer.phase e) in
+  let via_fold = Buffer.fold b ~init:[] (fun acc e -> view e :: acc) in
   let via_iter = ref [] in
-  Buffer.iter b (fun p phase -> via_iter := (Msg_id.seq (Payload.id p), phase) :: !via_iter);
+  Buffer.iter b (fun e -> via_iter := view e :: !via_iter);
   Alcotest.(check bool) "fold = contents" true (sort via_fold = sort via_contents);
   Alcotest.(check bool) "iter = contents" true (sort !via_iter = sort via_contents)
 
@@ -349,7 +367,7 @@ let test_discarded_body_collectable () =
   let first = Weak.create 1 in
   let id = Group.multicast group () in
   (* the sender buffers the very body it sent *)
-  Weak.set first 0 (Buffer.find (Member.buffer (Group.sender group)) id);
+  Weak.set first 0 (Some (Buffer.payload (Buffer.find (Member.buffer (Group.sender group)) id)));
   Alcotest.(check bool) "body watched" true (Weak.check first 0);
   (* later traffic, 100 ms apart, takes over the network's recycled
      parcels that carried message 0 *)
@@ -599,7 +617,7 @@ let suites =
         Alcotest.test_case "insert/find/remove" `Quick test_buffer_insert_find_remove;
         Alcotest.test_case "occupancy integral" `Quick test_buffer_occupancy_integral;
         Alcotest.test_case "long-term payloads" `Quick test_buffer_long_term_payloads;
-        Alcotest.test_case "promote absent no-op" `Quick test_buffer_promote_absent_is_noop;
+        Alcotest.test_case "retention deadline" `Quick test_buffer_deadline;
         Alcotest.test_case "phase counters" `Quick test_buffer_phase_counters;
         Alcotest.test_case "iter/fold match contents" `Quick test_buffer_iter_fold_match_contents;
       ] );
@@ -793,7 +811,8 @@ let suites = suites @ [ tracing_suite ]
 (* On the default config with neither observer nor metrics attached,
    processing a duplicate regional repair — the feedback op that
    dominates large-group recovery traffic: length-guarded regional
-   suppression, windowed duplicate check, two Timer.Idle touches — must
+   suppression, windowed duplicate check, one lookup and a touch of the
+   buffer entry's deadline — must
    allocate NOTHING on the minor heap. This is the "allocation-free
    event emission" claim made mechanically checkable: any ungated
    [emit], [Some]-allocating table probe, eager timer re-arm or

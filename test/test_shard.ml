@@ -291,6 +291,11 @@ let qcheck_buffer_lockstep =
       let buf = Rrmp.Buffer.create ~sim in
       let id s = Protocol.Msg_id.make ~source:(Node_id.of_int 0) ~seq:s in
       let payload s = Rrmp.Payload.make (id s) in
+      let entry s =
+        match Rrmp.Buffer.find buf (id s) with
+        | e -> Some e
+        | exception Not_found -> None
+      in
       let ok = ref true in
       let check b = if not b then ok := false in
       let time = ref 0.0 in
@@ -302,18 +307,20 @@ let qcheck_buffer_lockstep =
                  let now = Sim.now sim in
                  (match op with
                   | BIns s ->
-                    check
-                      (Soa.insert_short soa 0 s ~now
-                      = Rrmp.Buffer.insert buf ~phase:Rrmp.Buffer.Short_term (payload s))
+                    let fresh = entry s = None in
+                    ignore (Rrmp.Buffer.insert buf ~phase:Rrmp.Buffer.Short_term (payload s));
+                    check (Soa.insert_short soa 0 s ~now = fresh)
                   | BTouch s ->
                     (* feedback touch only moves deadlines; the
                        Buffer-visible state must not change *)
                     Soa.touch soa 0 s ~now
                   | BProm s ->
                     ignore (Soa.promote_long soa 0 s ~now);
-                    ignore (Rrmp.Buffer.promote buf (id s))
+                    Option.iter (Rrmp.Buffer.promote buf) (entry s)
                   | BDrop s ->
-                    check (Soa.drop soa 0 s ~now = (Rrmp.Buffer.remove buf (id s) <> None)));
+                    let present = entry s in
+                    Option.iter (Rrmp.Buffer.remove buf) present;
+                    check (Soa.drop soa 0 s ~now = (present <> None)));
                  check (Soa.buffer_size soa 0 = Rrmp.Buffer.size buf);
                  check
                    (Soa.long_count soa 0
@@ -328,7 +335,7 @@ let qcheck_buffer_lockstep =
         check (Soa.buffered soa 0 s = Rrmp.Buffer.mem buf (id s));
         check
           (Soa.long_term soa 0 s
-          = (Rrmp.Buffer.phase_of buf (id s) = Some Rrmp.Buffer.Long_term))
+          = (Option.map Rrmp.Buffer.phase (entry s) = Some Rrmp.Buffer.Long_term))
       done;
       !ok)
 
