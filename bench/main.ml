@@ -41,12 +41,6 @@
                            (default 4, at least 2)
      main.exe -s N         max shard count for the sharded sweep
                            (default 4)
-     main.exe --det-check  run one experiment at -j 1 and -j 4 and exit
-                           nonzero if the reports differ (CI guard)
-     main.exe --shard-check run the sharded scale experiments (10^5
-                           sweep + quick ext_scale_1m spine cell) at
-                           --shards 1 and 4 and exit nonzero if any
-                           report differs (CI guard)
      main.exe --scale-only just the two scale sweeps + BENCH_scale.json
      main.exe --alloc-gates just the allocation gates + BENCH_alloc.json
                            (--smoke shrinks op counts; budgets are
@@ -720,13 +714,6 @@ let run_scale ~smoke () =
 (* Region-sharded sweep: members × shards over Rrmp.Sharded            *)
 (* ------------------------------------------------------------------ *)
 
-(* run [f] with the shard-count setting temporarily forced, mirroring
-   [at_jobs] (the --shards / REPRO_SHARDS convention) *)
-let at_shards shards f =
-  let saved = Engine.Shard.default_shards () in
-  Engine.Shard.set_default_shards shards;
-  Fun.protect ~finally:(fun () -> Engine.Shard.set_default_shards saved) f
-
 (* One (members, shards) row. The wall clock is measured at -j =
    shards, one worker domain per shard window; minor words come from a
    separate -j 1 pass where every window runs inline on this domain,
@@ -771,8 +758,7 @@ let measure_soa_touch ~members ~msgs ~rounds sc_name =
   let soa =
     Rrmp.Member_soa.create ~now:0.0 ~n:members ~cap:msgs ~quantum:10.0 ~idle_timeout:1e9
       ~lifetime:None
-      ~on_idle:(fun ~member:_ ~seq:_ -> ())
-      ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
+      ~on_expire:(fun ~member:_ ~seq:_ -> ())
       ~on_gap:(fun ~member:_ ~seq:_ -> ())
       ()
   in
@@ -988,60 +974,6 @@ let run_alloc_gates ~smoke () =
     List.iter print_endline fs;
     failwith "allocation gates violated"
 
-(* --shard-check: the sharded analogue of --det-check — the quick
-   sharded scale experiments (the 10^5 sweep and the scaled-down
-   ext_scale_1m spine cell, same code path as the full 2^20 run) at
-   --shards 1 vs --shards 4, byte-compared (also exercised
-   registry-wide by test/test_shard.ml) *)
-let shard_check_one id =
-  let run () =
-    match Experiments.Registry.find id with
-    | Some e -> render_report (e.Experiments.Registry.run ~quick:true)
-    | None -> failwith ("shard-check: unknown experiment " ^ id)
-  in
-  let one = at_shards 1 run in
-  let four = at_shards 4 run in
-  if one = four then begin
-    Format.printf "shard-check: %s identical at --shards 1 and 4 (%d bytes)@." id
-      (String.length one);
-    0
-  end
-  else begin
-    Format.printf "shard-check: %s DIFFERS between --shards 1 and 4@." id;
-    Format.printf "--- --shards 1 ---@.%s@." one;
-    Format.printf "--- --shards 4 ---@.%s@." four;
-    1
-  end
-
-let shard_check () =
-  List.fold_left
-    (fun acc id -> max acc (shard_check_one id))
-    0
-    [ "ext_scale_sharded"; "ext_scale_1m" ]
-
-(* --det-check: the CI guard behind the bench-smoke alias — one
-   experiment at -j 1 vs -j 4, byte-compared *)
-let det_check () =
-  let id = "fig8" in
-  let run () =
-    match Experiments.Registry.find id with
-    | Some e -> render_report (e.Experiments.Registry.run ~quick:true)
-    | None -> failwith ("det-check: unknown experiment " ^ id)
-  in
-  let seq = at_jobs 1 run in
-  let par = at_jobs 4 run in
-  if seq = par then begin
-    Format.printf "det-check: %s identical at -j 1 and -j 4 (%d bytes)@." id
-      (String.length seq);
-    0
-  end
-  else begin
-    Format.printf "det-check: %s DIFFERS between -j 1 and -j 4@." id;
-    Format.printf "--- -j 1 ---@.%s@." seq;
-    Format.printf "--- -j 4 ---@.%s@." par;
-    1
-  end
-
 let bench ~smoke ~jobs ~max_shards () =
   Format.printf "=====================================================================@.";
   Format.printf " Bechamel microbenchmarks (monotonic clock per run)@.";
@@ -1092,8 +1024,7 @@ let bench ~smoke ~jobs ~max_shards () =
   end
 
 let usage =
-  "main.exe [--smoke] [-j N] [-s N] [--det-check | --shard-check | --alloc-gates | --net | \
-   --scale-only]"
+  "main.exe [--smoke] [-j N] [-s N] [--alloc-gates | --net | --scale-only]"
 
 let () =
   let jobs = ref 4 in
@@ -1115,8 +1046,6 @@ let () =
         ("-s", at_least 1 "-s" max_shards, "N max shard count for the sharded sweep (default 4)");
         ("--shards", at_least 1 "--shards" max_shards, "N same as -s");
         ("--smoke", Arg.Set smoke, " reduced sizes; emitted JSON is re-parsed");
-        ("--det-check", only `Det_check, " fig8 at -j 1 vs -j 4, byte-compared");
-        ("--shard-check", only `Shard_check, " sharded scale reports at --shards 1 vs 4");
         ("--alloc-gates", only `Alloc_gates, " allocation gates + BENCH_alloc.json only");
         ("--net", only `Net, " UDP loopback + codec benches into BENCH_net.json");
         ("--scale-only", only `Scale, " the two scale sweeps + BENCH_scale.json only");
@@ -1127,8 +1056,6 @@ let () =
   Arg.parse spec (fun a -> raise (Arg.Bad ("unknown argument " ^ a))) usage;
   let smoke = !smoke in
   match !mode with
-  | `Det_check -> exit (det_check ())
-  | `Shard_check -> exit (shard_check ())
   | `Alloc_gates -> run_alloc_gates ~smoke ()
   | `Net ->
     write_json "BENCH_net.json" (suite_json ~suite:"net" ~smoke (Net_bench.run ~smoke ()));

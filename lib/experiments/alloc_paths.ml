@@ -56,8 +56,8 @@ module Soa = Rrmp.Member_soa
 let nop_cb ~member:_ ~seq:_ = ()
 
 let make_soa ~n ~cap ?(on_gap = nop_cb) () =
-  Soa.create ~now:0.0 ~n ~cap ~quantum:10.0 ~idle_timeout:1e9 ~lifetime:None ~on_idle:nop_cb
-    ~on_lifetime:nop_cb ~on_gap ()
+  Soa.create ~now:0.0 ~n ~cap ~quantum:10.0 ~idle_timeout:1e9 ~lifetime:None ~on_expire:nop_cb
+    ~on_gap ()
 
 (* deliver: in-order receipt bookkeeping — gap check, short-term buffer
    insert with deadline arming, delivery accounting. The second half of
@@ -136,7 +136,7 @@ let run_regional_fanout ~regions ~per_region ~batches =
      traffic, but here it would put pool growth inside the measured
      drain.) *)
   let fabric =
-    Netsim.Fabric.create ~regions ~shards:1 ~shard_of:(fun _ -> 0) ~quantum:10.0
+    Netsim.Fabric.create ~regions ~shards:1 ~shard_of:(fun _ -> 0)
       ~sim_of:(fun r -> sims.(r))
       ~deliver:(fun ~region:_ ~member:_ () -> incr delivered)
   in

@@ -62,10 +62,9 @@ type 'msg t = {
   posted_by : int array;  (* per shard: parcels posted so far *)
 }
 
-let create ~regions ~shards ~shard_of ~quantum ~sim_of ~deliver =
+let create ~regions ~shards ~shard_of ~sim_of ~deliver =
   if regions < 0 then invalid_arg "Fabric.create: regions must be non-negative";
   if shards < 1 then invalid_arg "Fabric.create: shards must be positive";
-  if quantum <= 0.0 then invalid_arg "Fabric.create: quantum must be positive";
   {
     sim_of;
     shard_of;

@@ -34,18 +34,17 @@ val create :
   regions:int ->
   shards:int ->
   shard_of:(int -> int) ->
-  quantum:float ->
   sim_of:(int -> Engine.Sim.t) ->
   deliver:(region:int -> member:int -> 'msg -> unit) ->
   'msg t
-(** [create ~regions ~shards ~shard_of ~quantum ~sim_of ~deliver]
-    routes parcels between [regions] regions spread over [shards]
-    shards; [shard_of r] is the shard owning region [r] (must be stable
-    and in [0, shards)), [sim_of r] is that shard's event loop, and
-    [deliver] is invoked inside it when a parcel fires. [quantum] is
-    used only for the conservative-barrier check in {!exchange}.
-    @raise Invalid_argument if [regions < 0], [shards < 1] or
-    [quantum <= 0]. *)
+(** [create ~regions ~shards ~shard_of ~sim_of ~deliver] routes
+    parcels between [regions] regions spread over [shards] shards;
+    [shard_of r] is the shard owning region [r] (must be stable and in
+    [0, shards)), [sim_of r] is that shard's event loop, and [deliver]
+    is invoked inside it when a parcel fires. The fabric needs no
+    quantum: {!exchange} checks each arrival against the barrier it is
+    given.
+    @raise Invalid_argument if [regions < 0] or [shards < 1]. *)
 
 val unicast :
   'msg t -> src_region:int -> dst_region:int -> dst_member:int -> arrival:float -> 'msg -> unit

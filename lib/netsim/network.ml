@@ -80,7 +80,6 @@ type 'msg t = {
   mutable hook : ('msg delivery -> unit) option;
   bandwidth : 'msg bandwidth option;
   egress_free_at : float Node_id.Table.t;  (* per-src link-free time *)
-  batched : bool;
   free : 'msg pvec;  (* recycled parcels *)
   groups : 'msg pvec;  (* fan-out scratch, emptied before returning *)
   (* pre-resolved metric handles; null sinks until [attach_metrics], so
@@ -92,7 +91,7 @@ type 'msg t = {
 
 let no_handler _ = ()
 
-let create ~sim ~topology ~latency ~loss ~rng ?bandwidth ?(batched = true) () =
+let create ~sim ~topology ~latency ~loss ~rng ?bandwidth () =
   (match bandwidth with
    | Some b when b.bytes_per_ms <= 0.0 ->
      invalid_arg "Network.create: bandwidth must be positive"
@@ -110,7 +109,6 @@ let create ~sim ~topology ~latency ~loss ~rng ?bandwidth ?(batched = true) () =
     hook = None;
     bandwidth;
     egress_free_at = Node_id.Table.create 64;
-    batched;
     free = { arr = [||]; len = 0 };
     groups = { arr = [||]; len = 0 };
     mh_sent = Tracing.Metrics.null_handle ();
@@ -293,18 +291,19 @@ let[@lint.allow
 (* One multicast used to schedule one simulator event per receiver; at
    region sizes in the hundreds that made the event queue the
    bottleneck. The batched fan-out samples loss and latency per
-   destination at send time, in exactly the same order as the unbatched
-   path (so seeded runs are bit-identical), but groups destinations by
-   sampled delay and schedules a single event per distinct delay that
-   expands to the group's deliveries when it fires. Under the paper's
-   constant-latency models a whole regional multicast collapses to one
-   queue entry.
+   destination at send time, in exactly the same order as a
+   per-receiver send would (so seeded runs are bit-identical), but
+   groups destinations by sampled delay and schedules a single event
+   per distinct delay that expands to the group's deliveries when it
+   fires. Under the paper's constant-latency models a whole regional
+   multicast collapses to one queue entry.
 
    Ordering note: group events are scheduled in first-destination order
    within the (atomic) fan-out loop, so their sequence numbers preserve
    the relative order the per-receiver events would have had; receivers
    inside a group are delivered in membership order. Execution order is
-   therefore identical to the unbatched path.
+   therefore identical to one event per receiver, which
+   test/reference_net.ml keeps as the reference model.
 
    The groups of one fan-out are parcels accumulated in [t.groups]
    (scratch: the collection loop runs no user code, so it cannot be
@@ -357,35 +356,24 @@ let[@lint.allow
     regional_multicast t ~cls ~src ~region ?(include_src = false) msg =
   let extra_delay = egress_delay t ~src msg in
   let members = Topology.members t.topology region in
-  if not t.batched then
-    (Array.iter
-       (fun dst ->
-         if include_src || not (Node_id.equal dst src) then
-           send_one ~extra_delay t ~cls ~src ~dst ~lossy:true msg)
-       members)
-    [@lint.allow
-      "A unbatched reference path kept for differential testing; the measured path is the \
-       coalesced loop below"]
-  else begin
-    let c = counter_for t cls in
-    let sent_at = Engine.Sim.now t.sim in
-    for i = 0 to Array.length members - 1 do
-      let dst = Array.unsafe_get members i in
-      if include_src || not (Node_id.equal dst src) then begin
-        c.m_sent <- c.m_sent + 1;
-        t.mh_sent := !(t.mh_sent) + 1;
-        if Loss.drop t.loss ~src ~dst then begin
-          c.m_dropped_loss <- c.m_dropped_loss + 1;
-          t.mh_dropped := !(t.mh_dropped) + 1
-        end
-        else
-          add_to_group t ~cls ~src ~sent_at
-            ~delay:(extra_delay +. delay_between t ~src ~dst)
-            dst msg
+  let c = counter_for t cls in
+  let sent_at = Engine.Sim.now t.sim in
+  for i = 0 to Array.length members - 1 do
+    let dst = Array.unsafe_get members i in
+    if include_src || not (Node_id.equal dst src) then begin
+      c.m_sent <- c.m_sent + 1;
+      t.mh_sent := !(t.mh_sent) + 1;
+      if Loss.drop t.loss ~src ~dst then begin
+        c.m_dropped_loss <- c.m_dropped_loss + 1;
+        t.mh_dropped := !(t.mh_dropped) + 1
       end
-    done;
-    flush_groups t
-  end
+      else
+        add_to_group t ~cls ~src ~sent_at
+          ~delay:(extra_delay +. delay_between t ~src ~dst)
+          dst msg
+    end
+  done;
+  flush_groups t
 
 let[@lint.allow
      "A egress charge and per-receiver delay sampling box floats once per transmission \
@@ -393,49 +381,24 @@ let[@lint.allow
     ip_multicast t ~cls ~src ~reach msg =
   let extra_delay = egress_delay t ~src msg in
   let all = Topology.all_nodes t.topology in
-  if not t.batched then
-    (Array.iter
-       (fun dst ->
-         if not (Node_id.equal dst src) then begin
-           let c = counter_for t cls in
-           c.m_sent <- c.m_sent + 1;
-           t.mh_sent := !(t.mh_sent) + 1;
-           if reach dst then begin
-             let delay = extra_delay +. delay_between t ~src ~dst in
-             let p =
-               alloc_parcel t ~src ~dst ~cls ~sent_at:(Engine.Sim.now t.sim) msg
-             in
-             ignore (Engine.Sim.schedule t.sim ~delay p.p_fire)
-           end
-           else begin
-             c.m_dropped_loss <- c.m_dropped_loss + 1;
-             t.mh_dropped := !(t.mh_dropped) + 1
-           end
-         end)
-       all)
-    [@lint.allow
-      "A unbatched reference path kept for differential testing; the measured path is the \
-       coalesced loop below"]
-  else begin
-    let c = counter_for t cls in
-    let sent_at = Engine.Sim.now t.sim in
-    for i = 0 to Array.length all - 1 do
-      let dst = Array.unsafe_get all i in
-      if not (Node_id.equal dst src) then begin
-        c.m_sent <- c.m_sent + 1;
-        t.mh_sent := !(t.mh_sent) + 1;
-        if reach dst then
-          add_to_group t ~cls ~src ~sent_at
-            ~delay:(extra_delay +. delay_between t ~src ~dst)
-            dst msg
-        else begin
-          c.m_dropped_loss <- c.m_dropped_loss + 1;
-          t.mh_dropped := !(t.mh_dropped) + 1
-        end
+  let c = counter_for t cls in
+  let sent_at = Engine.Sim.now t.sim in
+  for i = 0 to Array.length all - 1 do
+    let dst = Array.unsafe_get all i in
+    if not (Node_id.equal dst src) then begin
+      c.m_sent <- c.m_sent + 1;
+      t.mh_sent := !(t.mh_sent) + 1;
+      if reach dst then
+        add_to_group t ~cls ~src ~sent_at
+          ~delay:(extra_delay +. delay_between t ~src ~dst)
+          dst msg
+      else begin
+        c.m_dropped_loss <- c.m_dropped_loss + 1;
+        t.mh_dropped := !(t.mh_dropped) + 1
       end
-    done;
-    flush_groups t
-  end
+    end
+  done;
+  flush_groups t
 
 let[@lint.allow
      "A egress charge and per-receiver delay sampling box floats once per transmission \
@@ -443,35 +406,24 @@ let[@lint.allow
     ip_multicast_lossy t ~cls ~src msg =
   let extra_delay = egress_delay t ~src msg in
   let all = Topology.all_nodes t.topology in
-  if not t.batched then
-    (Array.iter
-       (fun dst ->
-         if not (Node_id.equal dst src) then
-           send_one ~extra_delay t ~cls ~src ~dst ~lossy:true msg)
-       all)
-    [@lint.allow
-      "A unbatched reference path kept for differential testing; the measured path is the \
-       coalesced loop below"]
-  else begin
-    let c = counter_for t cls in
-    let sent_at = Engine.Sim.now t.sim in
-    for i = 0 to Array.length all - 1 do
-      let dst = Array.unsafe_get all i in
-      if not (Node_id.equal dst src) then begin
-        c.m_sent <- c.m_sent + 1;
-        t.mh_sent := !(t.mh_sent) + 1;
-        if Loss.drop t.loss ~src ~dst then begin
-          c.m_dropped_loss <- c.m_dropped_loss + 1;
-          t.mh_dropped := !(t.mh_dropped) + 1
-        end
-        else
-          add_to_group t ~cls ~src ~sent_at
-            ~delay:(extra_delay +. delay_between t ~src ~dst)
-            dst msg
+  let c = counter_for t cls in
+  let sent_at = Engine.Sim.now t.sim in
+  for i = 0 to Array.length all - 1 do
+    let dst = Array.unsafe_get all i in
+    if not (Node_id.equal dst src) then begin
+      c.m_sent <- c.m_sent + 1;
+      t.mh_sent := !(t.mh_sent) + 1;
+      if Loss.drop t.loss ~src ~dst then begin
+        c.m_dropped_loss <- c.m_dropped_loss + 1;
+        t.mh_dropped := !(t.mh_dropped) + 1
       end
-    done;
-    flush_groups t
-  end
+      else
+        add_to_group t ~cls ~src ~sent_at
+          ~delay:(extra_delay +. delay_between t ~src ~dst)
+          dst msg
+    end
+  done;
+  flush_groups t
 
 let stats t ~cls =
   match Hashtbl.find t.counters cls with

@@ -40,19 +40,16 @@ val create :
   loss:Loss.t ->
   rng:Engine.Rng.t ->
   ?bandwidth:'msg bandwidth ->
-  ?batched:bool ->
   unit ->
   'msg t
 (** Without [bandwidth], links have infinite capacity (the paper's
     setting).
 
-    [batched] (default [true]) schedules one simulator event per
-    distinct sampled delay for each multicast instead of one per
-    receiver; loss and latency are still sampled per receiver, in
-    membership order, at send time, so seeded runs produce identical
-    deliveries, counters and event ordering either way. Pass [false]
-    to force the per-receiver reference path (used by equivalence
-    tests). *)
+    A multicast schedules one simulator event per distinct sampled
+    delay instead of one per receiver; loss and latency are still
+    sampled per receiver, in membership order, at send time, so the
+    deliveries, counters and event ordering are those of one event per
+    receiver. *)
 
 val attach_metrics : 'msg t -> Tracing.Metrics.t -> unit
 (** Route aggregate per-packet counters ([net.sent], [net.delivered],

@@ -104,6 +104,8 @@ let touch t e = Idle.touch t.sim e.deadline
 
 let disarm e = Idle.stop e.deadline
 
+let armed e = Idle.active e.deadline
+
 let bytes t = t.bytes
 
 let count_phase t phase =

@@ -4,10 +4,11 @@
     (feedback-based: discarded once idle unless promoted) or
     [Long_term] (kept by the randomly chosen bufferers of an idle
     message). One entry per message holds the payload, its phase and
-    its single retention deadline — the idle threshold while
-    short-term, the lifetime once long-term; the two never coexist. The buffer also accounts for occupancy over time —
-    the integral of buffered bytes (and message count) over virtual
-    time — which the overhead experiments report. *)
+    its single retention deadline: while short-term, the idle threshold
+    (or a baseline policy's discard), once long-term, the lifetime; the
+    two never coexist. The buffer also accounts for occupancy over
+    time — the integral of buffered bytes (and message count) over
+    virtual time — which the overhead experiments report. *)
 
 type phase = Short_term | Long_term
 
@@ -62,6 +63,10 @@ val touch : t -> entry -> unit
 (** No-op while disarmed. *)
 
 val disarm : entry -> unit
+
+val armed : entry -> bool
+(** Whether the deadline is armed: set by {!arm}, cleared by {!disarm},
+    {!remove} or the deadline passing. *)
 
 (** {1 Accounting} *)
 

@@ -9,18 +9,24 @@
 (** Which buffer-management strategy members run. [Two_phase] is the
     paper's contribution; the others are the baselines it positions
     itself against, implemented over the same recovery protocol so
-    comparisons isolate the buffering policy. *)
+    comparisons isolate the buffering policy. Under every policy a
+    message that becomes long-term (by a handoff, say) keeps only the
+    long-term lifetime. *)
 type buffering_policy =
   | Two_phase
       (** feedback-based short-term + randomized long-term (Section 3) *)
   | Fixed_time of float
       (** Bimodal-Multicast-style: buffer every message for a fixed
-          number of ms, then discard *)
+          number of ms, then discard. The discard is the buffered
+          entry's own deadline, armed at insert; requests never extend
+          it. *)
   | Stability of { exchange_interval : float; hold_after_stable : float }
       (** stability detection: members periodically multicast history
-          digests in their region; a message is discarded
+          digests in their region; a short-term message is discarded
           [hold_after_stable] ms after every region member is known to
-          have it *)
+          have it. The discard is the buffered entry's own deadline,
+          armed once the message is stable; requests never extend
+          it. *)
   | Buffer_all  (** never discard (repair-server-style upper bound) *)
 
 (** How the long-term bufferers of an idle message are chosen

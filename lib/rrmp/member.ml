@@ -85,8 +85,6 @@ type t = {
   known_bufferer : Node_id.t Msg_id.Table.t;
       (* who announced "I have the message" last, per id *)
   pending_regional : Sim.handle Msg_id.Table.t;  (* backoff-delayed regional sends *)
-  fixed_timers : Sim.handle Msg_id.Table.t;  (* Fixed_time policy discards *)
-  stable_timers : Sim.handle Msg_id.Table.t;  (* Stability policy discards *)
   peer_digests : Recv_log.indexed Node_id.Table.t;
       (* Stability: last history per peer, indexed for O(log) probes *)
   mutable history_ticker : Timer.Periodic.t option;
@@ -166,39 +164,33 @@ let remote_timeout t =
 (* Feedback: requests keep a buffered message alive                    *)
 (* ------------------------------------------------------------------ *)
 
-(* a request for a buffered message pushes its retention deadline
-   back: allocation-free, since [Buffer.touch] defers the re-arm *)
+(* a request for a buffered message pushes its retention deadline back
+   when that deadline is feedback-driven: the idle threshold of a
+   Two_phase short-term entry, or the lifetime of a long-term one. A
+   Fixed_time period or a Stability hold stays put. Allocation-free,
+   since [Buffer.touch] defers the re-arm. *)
+let touch_entry t e =
+  match Buffer.phase e with
+  | Buffer.Long_term -> Buffer.touch t.buffer e
+  | Buffer.Short_term -> (
+    match t.config.Config.buffering with
+    | Config.Two_phase -> Buffer.touch t.buffer e
+    | Config.Fixed_time _ | Config.Stability _ | Config.Buffer_all -> ())
+
 let touch t e =
   t.mh_touches := !(t.mh_touches) + 1;
-  Buffer.touch t.buffer e
+  touch_entry t e
 
 (* [find]-with-exception rather than an option: no [Some] box *)
 let touch_feedback t id =
   t.mh_touches := !(t.mh_touches) + 1;
   match Buffer.find t.buffer id with
-  | e -> Buffer.touch t.buffer e
+  | e -> touch_entry t e
   | exception Not_found -> ()
-
-(* the policy-specific tables are populated only under Fixed_time /
-   Stability: the length guards spare Two_phase runs the hash *)
-let cancel_policy_timers t id =
-  if Msg_id.Table.length t.fixed_timers <> 0 then
-    (match Msg_id.Table.find_opt t.fixed_timers id with
-     | Some handle ->
-       Sim.cancel handle;
-       Msg_id.Table.remove t.fixed_timers id
-     | None -> ());
-  if Msg_id.Table.length t.stable_timers <> 0 then
-    match Msg_id.Table.find_opt t.stable_timers id with
-    | Some handle ->
-      Sim.cancel handle;
-      Msg_id.Table.remove t.stable_timers id
-    | None -> ()
 
 let discard t e ~phase =
   let id = Payload.id (Buffer.payload e) in
   let duration = if t.observing then now t -. Buffer.stored_at e else 0.0 in
-  cancel_policy_timers t id;
   Buffer.remove t.buffer e;
   t.mh_discarded := !(t.mh_discarded) + 1;
   if t.observing then emit t (Events.Discarded { id; phase; buffered_for = duration })
@@ -231,34 +223,34 @@ let become_idle t e =
   in
   if keeps then promote t e else discard t e ~phase:Buffer.Short_term
 
-(* an entry's one retention deadline passed: the idle threshold while
-   short-term, the lifetime once long-term *)
+(* an entry's one retention deadline passed. Short-term, that is the
+   idle threshold under Two_phase and the policy's discard under the
+   baselines; long-term, it is the lifetime. *)
 let expire t e =
   match Buffer.phase e with
-  | Buffer.Short_term -> become_idle t e
   | Buffer.Long_term -> discard t e ~phase:Buffer.Long_term
+  | Buffer.Short_term -> (
+    match t.config.Config.buffering with
+    | Config.Two_phase -> become_idle t e
+    | Config.Fixed_time _ | Config.Stability _ | Config.Buffer_all ->
+      discard t e ~phase:Buffer.Short_term)
 
-(* Stability policy: a buffered message may be discarded
+(* Stability policy: a short-term message may be discarded
    [hold_after_stable] after every region member is known (through
-   history exchange) to have received it *)
+   history exchange) to have received it; an armed entry is already
+   on its way out *)
 let check_stability t e =
   match t.config.Config.buffering with
   | Config.Stability { hold_after_stable; _ } ->
-    let id = Payload.id (Buffer.payload e) in
-    if not (Msg_id.Table.mem t.stable_timers id) then begin
+    if Buffer.phase e = Buffer.Short_term && not (Buffer.armed e) then begin
+      let id = Payload.id (Buffer.payload e) in
       let peer_has node =
         match Node_id.Table.find_opt t.peer_digests node with
         | None -> false
         | Some digest -> Recv_log.indexed_has digest id
       in
-      if Array.for_all peer_has (View.local_members t.view) then begin
-        let handle =
-          Sim.schedule t.sim ~delay:hold_after_stable (fun () ->
-              Msg_id.Table.remove t.stable_timers id;
-              discard t e ~phase:Buffer.Short_term)
-        in
-        Msg_id.Table.replace t.stable_timers id handle
-      end
+      if Array.for_all peer_has (View.local_members t.view) then
+        Buffer.arm t.buffer e ~timeout:hold_after_stable
     end
   | Config.Two_phase | Config.Fixed_time _ | Config.Buffer_all -> ()
 
@@ -267,14 +259,7 @@ let check_stability t e =
 let start_retention t e =
   match t.config.Config.buffering with
   | Config.Two_phase -> Buffer.arm t.buffer e ~timeout:(idle_threshold t)
-  | Config.Fixed_time period ->
-    let id = Payload.id (Buffer.payload e) in
-    let handle =
-      Sim.schedule t.sim ~delay:period (fun () ->
-          Msg_id.Table.remove t.fixed_timers id;
-          discard t e ~phase:Buffer.Short_term)
-    in
-    Msg_id.Table.replace t.fixed_timers id handle
+  | Config.Fixed_time period -> Buffer.arm t.buffer e ~timeout:period
   | Config.Stability _ -> check_stability t e
   | Config.Buffer_all -> ()
 
@@ -639,7 +624,6 @@ let handle_handoff t payloads ~src =
         match Buffer.phase e with
         | Buffer.Short_term ->
           Buffer.disarm e;
-          cancel_policy_timers t id;
           promote t e
         | Buffer.Long_term -> ())
       | exception Not_found ->
@@ -709,8 +693,6 @@ let create ~net ~config ~rng ~node ?caps ?observer ?metrics () =
       have_announced = Msg_id.Table.create 8;
       known_bufferer = Msg_id.Table.create 8;
       pending_regional = Msg_id.Table.create 8;
-      fixed_timers = Msg_id.Table.create 8;
-      stable_timers = Msg_id.Table.create 8;
       peer_digests = Node_id.Table.create 8;
       history_ticker = None;
       next_seq = 0;
@@ -824,10 +806,6 @@ let[@lint.allow
   Msg_id.Table.reset t.searches;
   Msg_id.Table.iter (fun _ handle -> Sim.cancel handle) t.pending_regional;
   Msg_id.Table.reset t.pending_regional;
-  Msg_id.Table.iter (fun _ handle -> Sim.cancel handle) t.fixed_timers;
-  Msg_id.Table.reset t.fixed_timers;
-  Msg_id.Table.iter (fun _ handle -> Sim.cancel handle) t.stable_timers;
-  Msg_id.Table.reset t.stable_timers;
   (match t.history_ticker with
    | Some ticker -> Timer.Periodic.stop ticker
    | None -> ());

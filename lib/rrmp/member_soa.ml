@@ -2,15 +2,16 @@
 
    Packing: a (member, seq) pair is the int key [k = m * cap + seq];
    bitsets are byte-packed Bytes.t over k, phases are one byte per k,
-   deadline ticks are one int per k. The built-in deadline ring is
-   lazy-touch: [touch] is a plain array store, and the sweep re-buckets
-   keys whose tick moved. The owner sweeps it at its barriers
-   ([sweep_until]); the ring never schedules a Sim event. Bucket
-   vectors are grow-only int arrays; the bucket table is only ever
-   indexed by tick (never iterated), so no unordered-iteration order
-   can escape.
+   and each k has one deadline tick: the idle deadline while its phase
+   is short-term, the lifetime once long-term (a key never holds both).
+   The built-in deadline ring is lazy-touch: [touch] is a plain array
+   store, and the sweep re-buckets keys whose tick moved. The owner
+   sweeps it at its barriers ([sweep_until]); the ring never schedules
+   a Sim event. Bucket vectors are grow-only int arrays; the bucket
+   table is only ever indexed by tick (never iterated), so no
+   unordered-iteration order can escape.
 
-   Off-heap backing: the per-key deadline ticks and the per-member
+   Off-heap backing: the per-key deadline tick and the per-member
    occupancy integrals — the arrays whose size is proportional to
    n * cap — live in Bigarrays, so a 10^6-member arena costs the OCaml
    heap a handful of words regardless of how much state it tracks; the
@@ -61,8 +62,7 @@ type t = {
   lifetime : float;  (* 0.0 = no lifetime configured *)
   mutable armed_buckets : int;  (* non-empty ticks; quiescence probe *)
   mutable swept : int;  (* highest tick swept *)
-  on_idle : member:int -> seq:int -> unit;
-  on_lifetime : member:int -> seq:int -> unit;
+  on_expire : member:int -> seq:int -> unit;
   on_gap : member:int -> seq:int -> unit;
   (* gap detection, arrayified Gap_detect *)
   recv : Bytes.t;  (* n*cap receipt bits *)
@@ -79,19 +79,18 @@ type t = {
   delivered : int array;
   promotions : int array;  (* per seq: long-term bufferers in this region *)
   (* coalesced deadline ring: current tick per key, 0 = unarmed *)
-  idle_tick : ticks;
-  life_tick : ticks;
-  buckets : bucket Tick_tbl.t;  (* tick -> armed keys (packed with class) *)
+  ticks : ticks;
+  buckets : bucket Tick_tbl.t;  (* tick -> armed keys *)
 }
 
-let create ~now ~n ~cap ~quantum ~idle_timeout ~lifetime ~on_idle ~on_lifetime ~on_gap () =
+let create ~now ~n ~cap ~quantum ~idle_timeout ~lifetime ~on_expire ~on_gap () =
   if n < 0 then invalid_arg "Member_soa.create: n must be non-negative";
   if cap <= 0 then invalid_arg "Member_soa.create: cap must be positive";
-  (* the packed key [m * cap + seq] must survive the ring's extra
-     class bit ([k lsl 1]): at 10^6 members x cap this is the guard
-     that makes an oversized configuration fail loudly instead of
-     silently aliasing two (member, seq) pairs onto one key *)
-  if n > 0 && cap > max_int / 2 / n then
+  (* the packed key [m * cap + seq] must fit in an OCaml int: at 10^6
+     members x cap this is the guard that makes an oversized
+     configuration fail loudly instead of silently aliasing two
+     (member, seq) pairs onto one key *)
+  if n > 0 && cap > max_int / n then
     invalid_arg "Member_soa.create: n * cap exceeds the packed (member, seq) key range";
   if quantum <= 0.0 then invalid_arg "Member_soa.create: quantum must be positive";
   if idle_timeout <= 0.0 then invalid_arg "Member_soa.create: idle_timeout must be positive";
@@ -114,8 +113,7 @@ let create ~now ~n ~cap ~quantum ~idle_timeout ~lifetime ~on_idle ~on_lifetime ~
        first sweep_until never fires a deadline armed after create in
        a bucket that predates it *)
     swept = int_of_float (Float.floor ((now /. quantum) +. 1e-9));
-    on_idle;
-    on_lifetime;
+    on_expire;
     on_gap;
     recv = Bytes.make ((keys + 7) / 8) '\000';
     horizon = Array.make n (-1);
@@ -129,8 +127,7 @@ let create ~now ~n ~cap ~quantum ~idle_timeout ~lifetime ~on_idle ~on_lifetime ~
     occ_last = make_floats n;
     delivered = Array.make n 0;
     promotions = Array.make cap 0;
-    idle_tick = make_ticks keys;
-    life_tick = make_ticks keys;
+    ticks = make_ticks keys;
     buckets = Tick_tbl.create 64;
   }
 
@@ -226,20 +223,13 @@ let highest_seen t m = t.horizon.(m)
 (* Deadline ring                                                       *)
 (* ------------------------------------------------------------------ *)
 
-(* bucket entries pack the deadline class into the low bit *)
-let cls_idle = 0
-
-let cls_life = 1
-
-let[@inline] tick_arr t cls = if cls = cls_idle then t.idle_tick else t.life_tick
-
-let bucket_push b packed =
+let bucket_push b k =
   if b.len = Array.length b.keys then begin
     let fresh = Array.make (2 * b.len) 0 in
     Array.blit b.keys 0 fresh 0 b.len;
     b.keys <- fresh
   end;
-  b.keys.(b.len) <- packed;
+  b.keys.(b.len) <- k;
   b.len <- b.len + 1
 
 (* [find]-with-exception, not [find_opt]: arming into an existing
@@ -247,12 +237,12 @@ let bucket_push b packed =
    bucket costs nothing beyond the table entry — the owner sweeps it
    from its window loop — so an arena shared by many regions schedules
    no Sim events at all. *)
-let enqueue t tick packed =
+let enqueue t tick k =
   match Tick_tbl.find t.buckets tick with
-  | b -> bucket_push b packed
+  | b -> bucket_push b k
   | exception Not_found ->
     let b = { keys = Array.make 8 0; len = 0 } in
-    bucket_push b packed;
+    bucket_push b k;
     Tick_tbl.add t.buckets tick b;
     t.armed_buckets <- t.armed_buckets + 1
 
@@ -265,19 +255,14 @@ let sweep t tick =
     Tick_tbl.remove t.buckets tick;
     t.armed_buckets <- t.armed_buckets - 1;
     for i = 0 to b.len - 1 do
-      let packed = b.keys.(i) in
-      let k = packed lsr 1 in
-      let cls = packed land 1 in
-      let ticks = tick_arr t cls in
-      let cur = ba_get ticks k in
+      let k = b.keys.(i) in
+      let cur = ba_get t.ticks k in
       if cur <> 0 then
         if cur <= tick then begin
-          ba_set ticks k 0;
-          let m = k / t.cap in
-          let seq = k mod t.cap in
-          if cls = cls_idle then t.on_idle ~member:m ~seq else t.on_lifetime ~member:m ~seq
+          ba_set t.ticks k 0;
+          t.on_expire ~member:(k / t.cap) ~seq:(k mod t.cap)
         end
-        else enqueue t cur packed
+        else enqueue t cur k
     done
 
 (* the shard coordinator calls this after each window with
@@ -292,17 +277,14 @@ let sweep_until t ~tick =
 
 let deadlines_pending t = t.armed_buckets > 0
 
-let arm t cls k ~timeout ~now =
+(* arm a cold key (tick 0): it gets a bucket entry at its tick *)
+let arm t k ~timeout ~now =
   (* open-coded tick_of, same reason as [touch]: without flambda the
      deadline float would be boxed at the call boundary, and the
      deliver path (insert -> arm) is gated at exactly 0 words/op *)
   let tick = int_of_float (Float.ceil ((now +. timeout) /. t.quantum)) in
-  let ticks = tick_arr t cls in
-  let was = ba_get ticks k in
-  ba_set ticks k tick;
-  (* an armed key is already in some bucket <= tick and will re-bucket
-     at its sweep; only a cold key needs a bucket entry *)
-  if was = 0 then enqueue t tick ((k lsl 1) lor cls)
+  ba_set t.ticks k tick;
+  enqueue t tick k
 
 (* ------------------------------------------------------------------ *)
 (* Two-phase buffer                                                    *)
@@ -338,22 +320,23 @@ let insert_short t m seq ~now =
     Bytes.unsafe_set t.phase k '\001';
     t.buf_count.(m) <- t.buf_count.(m) + 1;
     if t.buf_count.(m) > t.peak.(m) then t.peak.(m) <- t.buf_count.(m);
-    arm t cls_idle k ~timeout:t.idle_timeout ~now;
+    arm t k ~timeout:t.idle_timeout ~now;
     true
   end
 
 let touch t m seq ~now =
   check t m seq;
   let k = key t m seq in
-  (* O(1): bare array stores; the sweep re-buckets lazily. tick_of is
-     open-coded here so the float argument can never be boxed at a
+  (* O(1): a bare array store; the key already sits in a bucket at or
+     before its old tick, and the sweep re-buckets it lazily. tick_of
+     is open-coded here so the float argument can never be boxed at a
      call boundary: without flambda the [@inline] hint on tick_of is
      advisory, and this path is specified allocation-free (asserted by
      the soa-touch row in the scale bench). *)
-  if ba_get t.idle_tick k <> 0 then
-    ba_set t.idle_tick k (int_of_float (Float.ceil ((now +. t.idle_timeout) /. t.quantum)));
-  if ba_get t.life_tick k <> 0 then
-    ba_set t.life_tick k (int_of_float (Float.ceil ((now +. t.lifetime) /. t.quantum)))
+  if ba_get t.ticks k <> 0 then begin
+    let timeout = if Bytes.unsafe_get t.phase k = '\002' then t.lifetime else t.idle_timeout in
+    ba_set t.ticks k (int_of_float (Float.ceil ((now +. timeout) /. t.quantum)))
+  end
 
 let promote_long t m seq ~now =
   check t m seq;
@@ -363,8 +346,10 @@ let promote_long t m seq ~now =
     Bytes.unsafe_set t.phase k '\002';
     t.buf_long.(m) <- t.buf_long.(m) + 1;
     t.promotions.(seq) <- t.promotions.(seq) + 1;
-    ba_set t.idle_tick k 0;
-    if t.lifetime > 0.0 then arm t cls_life k ~timeout:t.lifetime ~now;
+    (* the lifetime may fall before the idle tick the key is bucketed
+       at, so it takes a fresh bucket entry rather than moving the old *)
+    ba_set t.ticks k 0;
+    if t.lifetime > 0.0 then arm t k ~timeout:t.lifetime ~now;
     true
   end
 
@@ -378,8 +363,7 @@ let drop t m seq ~now =
     Bytes.unsafe_set t.phase k '\000';
     t.buf_count.(m) <- t.buf_count.(m) - 1;
     if p = '\002' then t.buf_long.(m) <- t.buf_long.(m) - 1;
-    ba_set t.idle_tick k 0;
-    ba_set t.life_tick k 0;
+    ba_set t.ticks k 0;
     true
   end
 

@@ -6,8 +6,8 @@
     [0 <= seq < cap] of a single multicast source: receive
     watermarks/bitsets (the arrayified {!Protocol.Gap_detect}),
     two-phase buffer phase counters with incremental occupancy
-    integrals, and int-packed deadline ticks swept by a built-in
-    coalesced deadline ring. At 10^6 members this is a handful of flat
+    integrals, and one int deadline tick per (member, seq) swept by a
+    built-in coalesced deadline ring. At 10^6 members this is a handful of flat
     arrays instead of ~10^6 heap records and per-member hashtables;
     every hot operation below is O(1) amortized and allocation-free.
 
@@ -26,20 +26,21 @@ val create :
   quantum:float ->
   idle_timeout:float ->
   lifetime:float option ->
-  on_idle:(member:int -> seq:int -> unit) ->
-  on_lifetime:(member:int -> seq:int -> unit) ->
+  on_expire:(member:int -> seq:int -> unit) ->
   on_gap:(member:int -> seq:int -> unit) ->
   unit ->
   t
 (** Arena for [n] members and sequence numbers [0, cap) of one source
     ([n = 0] builds a valid empty arena — a shard that was assigned no
-    regions), created at virtual time [now]. Idle deadlines fire
-    [idle_timeout] ms after the last {!touch} (into [on_idle]);
-    long-term entries expire [lifetime] ms after their last touch (into
-    [on_lifetime]). Deadlines are coalesced on a [quantum]-ms ring:
-    deadline [d] belongs to tick [ceil (d / quantum)], and fires when
-    that tick is swept — up to one quantum late, never early, in arming
-    order within a tick.
+    regions), created at virtual time [now]. Each buffered entry has
+    one deadline, passed to [on_expire] when it is due: the idle
+    deadline, [idle_timeout] ms after the last {!touch}, while the
+    entry is short-term, and the lifetime, [lifetime] ms after the last
+    touch, once it is long-term. The entry is still buffered when
+    [on_expire] runs, so {!long_term} tells the two apart. Deadlines
+    are coalesced on a [quantum]-ms ring: deadline [d] belongs to tick
+    [ceil (d / quantum)], and fires when that tick is swept — up to one
+    quantum late, never early, in arming order within a tick.
 
     The arena schedules no events of its own: the owner calls
     {!sweep_until} after each window (the {!Engine.Shard.run}
@@ -52,16 +53,15 @@ val create :
     It is installed once here rather than passed per call so the
     deliver path never allocates a closure for the rare gap event.
 
-    The per-key deadline ticks and per-member occupancy integrals are
+    The per-key deadline tick and per-member occupancy integrals are
     Bigarray-backed (off the OCaml heap): the arena's memory is
     invisible to the GC, and scales with [n * cap] bytes, not heap
     words.
     @raise Invalid_argument on negative [n], non-positive [cap],
     [quantum], [idle_timeout] or [lifetime], or when [n * cap] would
-    overflow the packed [(member, seq)] key range (the key carries a
-    ring-class bit, so [2 * n * cap] must fit in an OCaml int — checked
-    here so 10^6-member configurations fail loudly instead of silently
-    aliasing keys). *)
+    overflow the packed [(member, seq)] key range ([n * cap] must fit
+    in an OCaml int — checked here so oversized configurations fail
+    loudly instead of silently aliasing keys). *)
 
 val members : t -> int
 
@@ -95,7 +95,7 @@ val received_count : t -> int -> int
 val highest_seen : t -> int -> int
 (** Highest sequence number member [m] knows to exist; -1 initially. *)
 
-(** {2 Two-phase buffer} (lockstep with {!Buffer} + idle/lifetime rings) *)
+(** {2 Two-phase buffer} (lockstep with {!Buffer} and its one deadline) *)
 
 val buffered : t -> int -> int -> bool
 
@@ -106,17 +106,17 @@ val insert_short : t -> int -> int -> now:float -> bool
     deadline. [false] (no change) if already buffered. *)
 
 val touch : t -> int -> int -> now:float -> unit
-(** Feedback touch: push the idle (and, for long-term entries,
-    lifetime) deadline out to [now + timeout]. O(1) field writes — the
-    ring re-buckets lazily at sweep time. No-op if not buffered. *)
+(** Feedback touch: push an armed deadline out to [now] plus its
+    phase's timeout. One array store — the ring re-buckets lazily at
+    sweep time. No-op if not buffered or disarmed. *)
 
 val promote_long : t -> int -> int -> now:float -> bool
-(** Short-term -> long-term; disarms the idle deadline and arms the
-    lifetime deadline (when a lifetime is configured). [false] if the
+(** Short-term -> long-term; replaces the idle deadline with the
+    lifetime (disarmed when no lifetime is configured). [false] if the
     entry is absent or already long-term. *)
 
 val drop : t -> int -> int -> now:float -> bool
-(** Discard a buffered entry, disarming its deadlines. [false] if it
+(** Discard a buffered entry, disarming its deadline. [false] if it
     was not buffered. *)
 
 val buffer_size : t -> int -> int

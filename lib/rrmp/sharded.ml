@@ -414,8 +414,11 @@ let idle_decision t sp ~g ~seq =
   else if Member_soa.drop sp.soa g seq ~now then
     sp.mh_discarded := !(sp.mh_discarded) + 1
 
-let lifetime_expired sp ~g ~seq =
-  if Member_soa.drop sp.soa g seq ~now:(Sim.now sp.sim) then
+(* a key's one deadline passed: the idle threshold while short-term,
+   the lifetime once long-term *)
+let expire t sp ~g ~seq =
+  if not (Member_soa.long_term sp.soa g seq) then idle_decision t sp ~g ~seq
+  else if Member_soa.drop sp.soa g seq ~now:(Sim.now sp.sim) then
     sp.mh_discarded := !(sp.mh_discarded) + 1
 
 (* ------------------------------------------------------------------ *)
@@ -604,12 +607,9 @@ let create ~seed ~config ~sizes ~parents ~shards ~cap ?(intra_ms = 5.0) ?(inter_
     let soa =
       Member_soa.create ~now:(Sim.now sim) ~n:m_count ~cap ~quantum ~idle_timeout
         ~lifetime:config.Config.long_term_lifetime
-        ~on_idle:(fun ~member ~seq ->
+        ~on_expire:(fun ~member ~seq ->
           let t = get_t () in
-          idle_decision t t.spines.(s) ~g:member ~seq)
-        ~on_lifetime:(fun ~member ~seq ->
-          let t = get_t () in
-          lifetime_expired t.spines.(s) ~g:member ~seq)
+          expire t t.spines.(s) ~g:member ~seq)
         ~on_gap:(fun ~member ~seq ->
           let t = get_t () in
           start_recovery t t.spines.(s) member seq)
@@ -652,7 +652,6 @@ let create ~seed ~config ~sizes ~parents ~shards ~cap ?(intra_ms = 5.0) ?(inter_
   let fabric =
     Fabric.create ~regions:nregions ~shards
       ~shard_of:(fun r -> r_shard.(r))
-      ~quantum
       ~sim_of:(fun r -> spines.(r_shard.(r)).sim)
       ~deliver:(fun ~region ~member msg -> handle_parcel (get_t ()) region member msg)
   in

@@ -349,28 +349,60 @@ let bandwidth_suite =
 (* Batched vs per-receiver fan-out equivalence                         *)
 (* ------------------------------------------------------------------ *)
 
-(* The batched fan-out must be observationally identical to the
-   per-receiver reference path on a seeded run: same delivery log
-   (order, times, payloads), same counters — including under loss and a
-   non-constant latency model. *)
-let fanout_run ~batched () =
+(* the multicast surface shared by Network and the per-receiver
+   reference model in reference_net.ml *)
+module type FANOUT = sig
+  type 'msg t
+
+  val create :
+    sim:Engine.Sim.t ->
+    topology:Topology.t ->
+    latency:Latency.t ->
+    loss:Loss.t ->
+    rng:Engine.Rng.t ->
+    unit ->
+    'msg t
+
+  val register : 'msg t -> Node_id.t -> ('msg Network.delivery -> unit) -> unit
+
+  val regional_multicast :
+    'msg t -> cls:string -> src:Node_id.t -> region:Region_id.t -> ?include_src:bool -> 'msg -> unit
+
+  val ip_multicast :
+    'msg t -> cls:string -> src:Node_id.t -> reach:(Node_id.t -> bool) -> 'msg -> unit
+
+  val ip_multicast_lossy : 'msg t -> cls:string -> src:Node_id.t -> 'msg -> unit
+
+  val stats : 'msg t -> cls:string -> Network.counter
+end
+
+module Batched : FANOUT = struct
+  include Network
+
+  let create ~sim ~topology ~latency ~loss ~rng () =
+    Network.create ~sim ~topology ~latency ~loss ~rng ()
+end
+
+(* The batched fan-out must be observationally identical to one event
+   per receiver on a seeded run: same delivery log (order, times,
+   payloads), same counters — under loss, with a non-constant latency
+   model (every receiver its own delay, so groups are singletons) and
+   with the paper's constant one (whole regions share a delay, so
+   group order and the order within a group both show). Both runs
+   draw loss and latency from identically seeded generators. *)
+let fanout_run (module N : FANOUT) ~latency =
   let topology = Topology.chain ~sizes:[ 6; 5 ] in
   let sim = Engine.Sim.create () in
   let rng = Engine.Rng.create ~seed:42 in
-  let latency =
-    Latency.create
-      ~intra:(Latency.Uniform { lo = 1.0; hi = 9.0 })
-      ~inter:(Latency.Constant 50.0)
-  in
   let net =
-    Network.create ~sim ~topology ~latency
+    N.create ~sim ~topology ~latency
       ~loss:(Loss.create (Loss.Bernoulli 0.3) ~rng:(Engine.Rng.split rng))
-      ~rng ~batched ()
+      ~rng ()
   in
   let log = ref [] in
   List.iter
     (fun node ->
-      Network.register net node (fun d ->
+      N.register net node (fun d ->
           let (Ping p) = d.Network.msg in
           log :=
             ( (Engine.Sim.now sim, Node_id.to_int d.Network.src),
@@ -380,29 +412,37 @@ let fanout_run ~batched () =
   for round = 1 to 5 do
     ignore
       (Engine.Sim.schedule sim ~delay:(float_of_int round *. 3.0) (fun () ->
-           Network.regional_multicast net ~cls:"regional" ~src:(Node_id.of_int 0)
+           N.regional_multicast net ~cls:"regional" ~src:(Node_id.of_int 0)
              ~region:(Region_id.of_int 0) (Ping round);
-           Network.ip_multicast_lossy net ~cls:"session" ~src:(Node_id.of_int 1)
+           N.ip_multicast_lossy net ~cls:"session" ~src:(Node_id.of_int 1)
              (Ping (100 + round));
-           Network.ip_multicast net ~cls:"reach" ~src:(Node_id.of_int 2)
+           N.ip_multicast net ~cls:"reach" ~src:(Node_id.of_int 2)
              ~reach:(fun n -> Node_id.to_int n mod 2 = 0)
              (Ping (200 + round))))
   done;
   Engine.Sim.run sim;
   let stats cls =
-    let c = Network.stats net ~cls in
+    let c = N.stats net ~cls in
     ((c.Network.sent, c.Network.delivered), (c.Network.dropped_loss, c.Network.dropped_dead))
   in
   (List.rev !log, List.map stats [ "regional"; "session"; "reach" ])
 
 let test_batched_fanout_equivalence () =
-  let log_b, stats_b = fanout_run ~batched:true () in
-  let log_r, stats_r = fanout_run ~batched:false () in
-  Alcotest.(check bool) "some deliveries happened" true (List.length log_b > 50);
-  Alcotest.(check (list (pair (pair (float 1e-9) int) (pair int int))))
-    "delivery logs identical" log_r log_b;
-  Alcotest.(check (list (pair (pair int int) (pair int int))))
-    "counters identical" stats_r stats_b
+  List.iter
+    (fun latency ->
+      let log_b, stats_b = fanout_run (module Batched) ~latency in
+      let log_r, stats_r = fanout_run (module Reference_net) ~latency in
+      Alcotest.(check bool) "some deliveries happened" true (List.length log_b > 50);
+      Alcotest.(check (list (pair (pair (float 1e-9) int) (pair int int))))
+        "delivery logs identical" log_r log_b;
+      Alcotest.(check (list (pair (pair int int) (pair int int))))
+        "counters identical" stats_r stats_b)
+    [
+      Latency.create
+        ~intra:(Latency.Uniform { lo = 1.0; hi = 9.0 })
+        ~inter:(Latency.Constant 50.0);
+      Latency.paper_default;
+    ]
 
 let batching_suite =
   ( "netsim.batching",

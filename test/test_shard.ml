@@ -123,7 +123,6 @@ let test_fabric_exchange_order () =
   let fab =
     Fabric.create ~regions:3 ~shards:2
       ~shard_of:(fun r -> if r = 0 then 0 else 1)
-      ~quantum:10.0
       ~sim_of:(fun _ -> sim)
       ~deliver:(fun ~region ~member msg -> log := (region, member, msg) :: !log)
   in
@@ -148,22 +147,13 @@ let test_fabric_conservative_guard () =
   let fab =
     Fabric.create ~regions:2 ~shards:1
       ~shard_of:(fun _ -> 0)
-      ~quantum:10.0
       ~sim_of:(fun _ -> sim)
       ~deliver:(fun ~region:_ ~member:_ () -> ())
   in
   Fabric.unicast fab ~src_region:0 ~dst_region:1 ~dst_member:0 ~arrival:5.0 ();
-  (match Fabric.exchange fab ~barrier:10.0 with
-   | _ -> Alcotest.fail "expected Invalid_argument"
-   | exception Invalid_argument _ -> ());
-  Alcotest.check_raises "quantum <= 0"
-    (Invalid_argument "Fabric.create: quantum must be positive") (fun () ->
-      ignore
-        (Fabric.create ~regions:1 ~shards:1
-           ~shard_of:(fun _ -> 0)
-           ~quantum:0.0
-           ~sim_of:(fun _ -> sim)
-           ~deliver:(fun ~region:_ ~member:_ () -> ())))
+  match Fabric.exchange fab ~barrier:10.0 with
+  | _ -> Alcotest.fail "expected Invalid_argument"
+  | exception Invalid_argument _ -> ()
 
 (* ------------------------------------------------------------------ *)
 (* Member_soa ≡ Gap_detect (qcheck lockstep)                           *)
@@ -195,8 +185,7 @@ let gap_ops_arb =
 
 let unobserved_soa ?(on_gap = fun ~member:_ ~seq:_ -> ()) ~n ~cap () =
   Soa.create ~now:0.0 ~n ~cap ~quantum:10.0 ~idle_timeout:1e6 ~lifetime:None
-    ~on_idle:(fun ~member:_ ~seq:_ -> ())
-    ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
+    ~on_expire:(fun ~member:_ ~seq:_ -> ())
     ~on_gap ()
 
 let qcheck_gap_lockstep =
@@ -343,21 +332,34 @@ let qcheck_buffer_lockstep =
 (* Member_soa deadline ring semantics                                  *)
 (* ------------------------------------------------------------------ *)
 
+(* an arena whose one expiry callback records which deadline fired by
+   reading the entry's phase at fire time: the lifetime of a long-term
+   entry, the idle deadline of a short-term one *)
+let ring_arena ?(cap = 8) ?(quantum = 10.0) ?(idle_timeout = 40.0) ?(lifetime = Some 100.0)
+    record =
+  let arena = ref None in
+  let soa =
+    Soa.create ~now:0.0 ~n:2 ~cap ~quantum ~idle_timeout ~lifetime
+      ~on_expire:(fun ~member ~seq ->
+        let soa = Option.get !arena in
+        record (if Soa.long_term soa member seq then `Life else `Idle) ~member ~seq)
+      ~on_gap:(fun ~member:_ ~seq:_ -> ())
+      ()
+  in
+  arena := Some soa;
+  soa
+
 (* the embedded ring: deadlines coalesce onto ceil(deadline / quantum)
    ticks — up to one quantum late, never early — touches re-bucket
-   lazily, promote/drop disarm. Swept one tick at a time, so each fire
-   is stamped with the boundary of the tick that fired it. *)
+   lazily, promote replaces the idle deadline with the lifetime, drop
+   disarms. Swept one tick at a time, so each fire is stamped with the
+   boundary of the tick that fired it. *)
 let test_soa_ring_semantics () =
   let tick = ref 0 in
   let fired = ref [] in
-  let record cls ~member ~seq =
-    fired := (float_of_int !tick *. 10.0, cls, member, seq) :: !fired
-  in
   let soa =
-    Soa.create ~now:0.0 ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
-      ~on_idle:(record `Idle) ~on_lifetime:(record `Life)
-      ~on_gap:(fun ~member:_ ~seq:_ -> ())
-      ()
+    ring_arena (fun cls ~member ~seq ->
+        fired := (float_of_int !tick *. 10.0, cls, member, seq) :: !fired)
   in
   (* exact-boundary deadline fires exactly on its tick *)
   Alcotest.(check bool) "insert m1/s4" true (Soa.insert_short soa 1 4 ~now:0.0);
@@ -366,7 +368,7 @@ let test_soa_ring_semantics () =
   (* touched entry re-buckets to its pushed-out deadline *)
   Alcotest.(check bool) "insert m0/s0" true (Soa.insert_short soa 0 0 ~now:0.0);
   Soa.touch soa 0 0 ~now:30.0;
-  (* promotion disarms idle and arms the lifetime deadline *)
+  (* promotion replaces the idle deadline with the lifetime *)
   Alcotest.(check bool) "insert m0/s2" true (Soa.insert_short soa 0 2 ~now:0.0);
   Alcotest.(check bool) "promote m0/s2" true (Soa.promote_long soa 0 2 ~now:0.0);
   (* dropped entry never fires *)
@@ -390,13 +392,7 @@ let test_soa_ring_semantics () =
    [busy] hook consults *)
 let test_soa_barrier_ring () =
   let fired = ref [] in
-  let record cls ~member ~seq = fired := (cls, member, seq) :: !fired in
-  let soa =
-    Soa.create ~now:0.0 ~n:2 ~cap:8 ~quantum:10.0 ~idle_timeout:40.0 ~lifetime:(Some 100.0)
-      ~on_idle:(record `Idle) ~on_lifetime:(record `Life)
-      ~on_gap:(fun ~member:_ ~seq:_ -> ())
-      ()
-  in
+  let soa = ring_arena (fun cls ~member ~seq -> fired := (cls, member, seq) :: !fired) in
   ignore (Soa.insert_short soa 1 4 ~now:0.0 : bool);
   (* idle due 40 -> tick 4 *)
   ignore (Soa.insert_short soa 0 0 ~now:5.0 : bool);
@@ -418,12 +414,124 @@ let test_soa_barrier_ring () =
     (List.rev_map pp !fired);
   Alcotest.(check bool) "drained" false (Soa.deadlines_pending soa)
 
+(* Random insert / touch / promote / drop schedules at whole-millisecond
+   times on a 2-member arena, swept at random monotone ticks, against
+   the exact-deadline model in ring_model.ml: each sweep fires exactly
+   the keys the model says are due (so every armed key fires once and a
+   dropped key never does), each seeing the phase whose timeout armed
+   it, in ascending deadline-tick order. Lifetimes shorter than the
+   idle timeout let a promotion move a key's deadline earlier. *)
+type ring_op =
+  | RIns of int * int
+  | RTouch of int * int
+  | RProm of int * int
+  | RDrop of int * int
+  | RSweep of int  (* ticks behind the clock's current tick *)
+
+let ring_cap = 6
+
+let ring_op_to_string = function
+  | RIns (m, s) -> Printf.sprintf "ins m%d/s%d" m s
+  | RTouch (m, s) -> Printf.sprintf "touch m%d/s%d" m s
+  | RProm (m, s) -> Printf.sprintf "prom m%d/s%d" m s
+  | RDrop (m, s) -> Printf.sprintf "drop m%d/s%d" m s
+  | RSweep lag -> Printf.sprintf "sweep -%d" lag
+
+let ring_arb =
+  let open QCheck in
+  let key = Gen.(pair (int_bound 1) (int_bound (ring_cap - 1))) in
+  let op =
+    Gen.(
+      frequency
+        [
+          (3, map (fun (m, s) -> RIns (m, s)) key);
+          (3, map (fun (m, s) -> RTouch (m, s)) key);
+          (2, map (fun (m, s) -> RProm (m, s)) key);
+          (1, map (fun (m, s) -> RDrop (m, s)) key);
+          (2, map (fun lag -> RSweep lag) (int_bound 2));
+        ])
+  in
+  let setup =
+    Gen.(
+      triple (oneofl [ 1; 2; 5; 10 ]) (int_range 1 30) (opt (int_range 1 60)))
+  in
+  make
+    ~print:(fun ((q, idle, life), ops) ->
+      Printf.sprintf "quantum %d, idle %d, lifetime %s: %s" q idle
+        (match life with None -> "none" | Some l -> string_of_int l)
+        (String.concat "; "
+           (List.map (fun (dt, op) -> Printf.sprintf "+%d %s" dt (ring_op_to_string op)) ops)))
+    Gen.(pair setup (list_size (int_bound 100) (pair (int_bound 6) op)))
+
+let qcheck_ring_model =
+  QCheck.Test.make ~name:"ring vs deadline model" ~count:500 ring_arb
+    (fun ((q, idle, life), ops) ->
+      let quantum = float_of_int q in
+      let idle_timeout = float_of_int idle in
+      let lifetime = Option.map float_of_int life in
+      let fired = ref [] in
+      let soa =
+        ring_arena ~cap:ring_cap ~quantum ~idle_timeout ~lifetime (fun cls ~member ~seq ->
+            let phase = match cls with `Life -> Ring_model.Long | `Idle -> Ring_model.Short in
+            fired := ((member, seq), phase) :: !fired)
+      in
+      let model = Ring_model.create ~quantum ~idle_timeout ~lifetime in
+      let ok = ref true in
+      let check b = if not b then ok := false in
+      let swept = ref 0 in
+      let sweep tick =
+        fired := [];
+        Soa.sweep_until soa ~tick;
+        let due = Ring_model.sweep_until model ~tick in
+        let got = List.rev !fired in
+        (* the same keys, each once, in the phase that armed it *)
+        check
+          (List.sort compare got
+          = List.map (fun (key, phase, _) -> (key, phase)) due);
+        (* fired tick by tick: deadline ticks never decrease *)
+        let tick_of key =
+          match List.find_opt (fun (k, _, _) -> k = key) due with
+          | Some (_, _, t) -> t
+          | None -> max_int
+        in
+        ignore
+          (List.fold_left
+             (fun prev (key, _) ->
+               let t = tick_of key in
+               check (prev <= t);
+               t)
+             min_int got);
+        swept := tick
+      in
+      let now = ref 0.0 in
+      List.iter
+        (fun (dt, op) ->
+          now := !now +. float_of_int dt;
+          let now = !now in
+          match op with
+          | RIns (m, s) ->
+            check (Soa.insert_short soa m s ~now = Ring_model.insert model (m, s) ~now)
+          | RTouch (m, s) ->
+            Soa.touch soa m s ~now;
+            Ring_model.touch model (m, s) ~now
+          | RProm (m, s) ->
+            check (Soa.promote_long soa m s ~now = Ring_model.promote model (m, s) ~now)
+          | RDrop (m, s) -> check (Soa.drop soa m s ~now = Ring_model.drop model (m, s))
+          | RSweep lag ->
+            let tick = int_of_float (Float.floor (now /. quantum)) - lag in
+            if tick > !swept then sweep tick)
+        ops;
+      (* drain: past every deadline, nothing may stay armed *)
+      sweep (int_of_float (Float.floor ((!now +. 100.0) /. quantum)));
+      check (not (Ring_model.pending model));
+      check (not (Soa.deadlines_pending soa));
+      !ok)
+
 let test_soa_create_validation () =
   let mk ?(n = 1) ?(cap = 1) ?(quantum = 1.0) ?(idle = 1.0) ?lifetime () =
     ignore
       (Soa.create ~now:0.0 ~n ~cap ~quantum ~idle_timeout:idle ~lifetime
-         ~on_idle:(fun ~member:_ ~seq:_ -> ())
-         ~on_lifetime:(fun ~member:_ ~seq:_ -> ())
+         ~on_expire:(fun ~member:_ ~seq:_ -> ())
          ~on_gap:(fun ~member:_ ~seq:_ -> ())
          ())
   in
@@ -431,8 +539,8 @@ let test_soa_create_validation () =
     (fun () -> mk ~n:(-1) ());
   Alcotest.check_raises "cap" (Invalid_argument "Member_soa.create: cap must be positive")
     (fun () -> mk ~cap:0 ());
-  (* the bucket entries pack (m * cap + seq) lsl 1, so n * cap must fit
-     in 62 bits — the guard fires before any array is sized *)
+  (* the key is m * cap + seq, so n * cap must fit in an OCaml int —
+     the guard fires before any array is sized *)
   Alcotest.check_raises "packed key overflow"
     (Invalid_argument "Member_soa.create: n * cap exceeds the packed (member, seq) key range")
     (fun () -> mk ~n:(max_int / 8) ~cap:32 ());
@@ -613,6 +721,7 @@ let suites =
       [
         QCheck_alcotest.to_alcotest qcheck_gap_lockstep;
         QCheck_alcotest.to_alcotest qcheck_buffer_lockstep;
+        QCheck_alcotest.to_alcotest qcheck_ring_model;
         Alcotest.test_case "deadline ring semantics" `Quick test_soa_ring_semantics;
         Alcotest.test_case "barrier-driven ring" `Quick test_soa_barrier_ring;
         Alcotest.test_case "create validation" `Quick test_soa_create_validation;

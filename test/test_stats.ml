@@ -1,5 +1,5 @@
 (* Tests for the statistics substrate: distributions against known
-   values, summaries against direct computation, histograms, series. *)
+   values, summaries against direct computation, series. *)
 
 open Stats
 
@@ -253,41 +253,6 @@ let qcheck_summary_matches_direct =
       && abs_float (Summary.variance s -. var) < 1e-4)
 
 (* ------------------------------------------------------------------ *)
-(* Hist                                                                *)
-(* ------------------------------------------------------------------ *)
-
-let test_hist_binning () =
-  let h = Hist.create ~lo:0.0 ~hi:10.0 ~bins:10 in
-  List.iter (Hist.add h) [ 0.0; 0.5; 1.0; 9.99; -1.0; 10.0; 100.0 ];
-  check_close "bin 0 holds [0,1)" 2.0 (Hist.bin_weight h 0);
-  check_close "bin 1 holds [1,2)" 1.0 (Hist.bin_weight h 1);
-  check_close "bin 9 holds [9,10)" 1.0 (Hist.bin_weight h 9);
-  check_close "underflow" 1.0 (Hist.underflow h);
-  check_close "overflow (hi inclusive-exclusive)" 2.0 (Hist.overflow h);
-  Alcotest.(check int) "count" 7 (Hist.count h)
-
-let test_hist_weights () =
-  let h = Hist.create ~lo:0.0 ~hi:2.0 ~bins:2 in
-  Hist.add ~weight:3.0 h 0.5;
-  Hist.add ~weight:1.0 h 1.5;
-  check_close "weighted bin" 3.0 (Hist.bin_weight h 0);
-  check_close "total weight" 4.0 (Hist.total_weight h);
-  let norm = Hist.normalized h in
-  check_close "normalized" 0.75 norm.(0)
-
-let test_hist_mode () =
-  let h = Hist.create ~lo:0.0 ~hi:3.0 ~bins:3 in
-  Alcotest.(check (option int)) "no mode when empty" None (Hist.mode_bin h);
-  List.iter (Hist.add h) [ 0.1; 1.1; 1.2; 2.5 ];
-  Alcotest.(check (option int)) "mode" (Some 1) (Hist.mode_bin h)
-
-let test_hist_bin_range () =
-  let h = Hist.create ~lo:10.0 ~hi:20.0 ~bins:5 in
-  let lo, hi = Hist.bin_range h 2 in
-  check_close "range lo" 14.0 lo;
-  check_close "range hi" 16.0 hi
-
-(* ------------------------------------------------------------------ *)
 (* Series                                                              *)
 (* ------------------------------------------------------------------ *)
 
@@ -378,13 +343,6 @@ let suites =
         Alcotest.test_case "confidence interval" `Quick test_summary_ci;
         QCheck_alcotest.to_alcotest qcheck_summary_matches_direct;
         QCheck_alcotest.to_alcotest qcheck_summary_merge_matches_sequential;
-      ] );
-    ( "stats.hist",
-      [
-        Alcotest.test_case "binning" `Quick test_hist_binning;
-        Alcotest.test_case "weights" `Quick test_hist_weights;
-        Alcotest.test_case "mode" `Quick test_hist_mode;
-        Alcotest.test_case "bin range" `Quick test_hist_bin_range;
       ] );
     ( "stats.series",
       [
