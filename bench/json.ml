@@ -259,9 +259,6 @@ let of_string s =
 let member key v =
   match v with Obj fields -> List.assoc_opt key fields | _ -> None
 
-let to_float_opt v =
-  match v with Float f -> Some f | Int i -> Some (float_of_int i) | _ -> None
-
 let to_list_opt v = match v with List items -> Some items | _ -> None
 
 let to_string_opt v = match v with String s -> Some s | _ -> None

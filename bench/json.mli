@@ -28,9 +28,6 @@ val of_string : string -> t
 val member : string -> t -> t option
 (** Field lookup on an [Obj]; [None] on other constructors. *)
 
-val to_float_opt : t -> float option
-(** [Int] values widen to float. *)
-
 val to_list_opt : t -> t list option
 
 val to_string_opt : t -> string option

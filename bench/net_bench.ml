@@ -1,4 +1,4 @@
-(* bench --net: the first real-traffic numbers.
+(* BENCH_net.json: the real-traffic numbers.
 
    A group of RRMP members runs over Udp_loopback — every send is a
    real datagram through a real kernel socket, every receive passes
@@ -38,13 +38,13 @@ let measure_codec ~name ~what ~ops f =
   let w1 = Gc.minor_words () in
   let t1 = Unix.gettimeofday () in
   let total = float_of_int ops in
-  Tracing.Json.Obj
+  Json.Obj
     [
-      ("name", Tracing.Json.String name);
-      ("what", Tracing.Json.String what);
-      ("ops", Tracing.Json.Int ops);
-      ("ns_per_op", Tracing.Json.Float ((t1 -. t0) *. 1e9 /. total));
-      ("minor_words_per_op", Tracing.Json.Float (Float.max 0.0 ((w1 -. w0) /. total)));
+      ("name", Json.String name);
+      ("what", Json.String what);
+      ("ops", Json.Int ops);
+      ("ns_per_op", Json.Float ((t1 -. t0) *. 1e9 /. total));
+      ("minor_words_per_op", Json.Float (Float.max 0.0 ((w1 -. w0) /. total)));
     ]
 
 let codec_rows ~smoke =
@@ -155,37 +155,37 @@ let run_loss_rate ~members:n ~messages ~max_steps ~loss =
   let st = Udp.stats transport in
   let complete = all_delivered () in
   Udp.close transport;
-  Tracing.Json.Obj
+  Json.Obj
     [
-      ("name", Tracing.Json.String (Printf.sprintf "net/throughput loss=%.2f" loss));
+      ("name", Json.String (Printf.sprintf "net/throughput loss=%.2f" loss));
       ( "what",
-        Tracing.Json.String
+        Json.String
           "RRMP members over UDP loopback: one 1 KiB multicast per sim-ms, recovery over \
            the wire" );
-      ("members", Tracing.Json.Int n);
-      ("messages", Tracing.Json.Int messages);
-      ("loss", Tracing.Json.Float loss);
-      ("wall_s", Tracing.Json.Float wall_s);
-      ("sim_ms", Tracing.Json.Float (Engine.Sim.now sim));
-      ("complete", Tracing.Json.Bool complete);
-      ("deliveries", Tracing.Json.Int rs.delivered_events);
+      ("members", Json.Int n);
+      ("messages", Json.Int messages);
+      ("loss", Json.Float loss);
+      ("wall_s", Json.Float wall_s);
+      ("sim_ms", Json.Float (Engine.Sim.now sim));
+      ("complete", Json.Bool complete);
+      ("deliveries", Json.Int rs.delivered_events);
       ( "deliveries_per_sec",
-        Tracing.Json.Float (float_of_int rs.delivered_events /. Float.max wall_s 1e-9) );
-      ("datagrams_sent", Tracing.Json.Int st.Transport.datagrams_sent);
-      ("datagrams_received", Tracing.Json.Int st.Transport.datagrams_received);
+        Json.Float (float_of_int rs.delivered_events /. Float.max wall_s 1e-9) );
+      ("datagrams_sent", Json.Int st.Transport.datagrams_sent);
+      ("datagrams_received", Json.Int st.Transport.datagrams_received);
       ( "datagrams_per_sec",
-        Tracing.Json.Float (float_of_int st.Transport.datagrams_sent /. Float.max wall_s 1e-9)
+        Json.Float (float_of_int st.Transport.datagrams_sent /. Float.max wall_s 1e-9)
       );
-      ("bytes_sent", Tracing.Json.Int st.Transport.bytes_sent);
-      ("dropped_loss", Tracing.Json.Int st.Transport.dropped_loss);
-      ("dropped_backpressure", Tracing.Json.Int st.Transport.dropped_backpressure);
-      ("decode_errors", Tracing.Json.Int st.Transport.decode_errors);
-      ("recoveries", Tracing.Json.Int rs.recoveries);
+      ("bytes_sent", Json.Int st.Transport.bytes_sent);
+      ("dropped_loss", Json.Int st.Transport.dropped_loss);
+      ("dropped_backpressure", Json.Int st.Transport.dropped_backpressure);
+      ("decode_errors", Json.Int st.Transport.decode_errors);
+      ("recoveries", Json.Int rs.recoveries);
       ( "recovery_latency_mean_ms",
-        Tracing.Json.Float
+        Json.Float
           (if rs.recoveries = 0 then 0.0
            else rs.latency_sum /. float_of_int rs.recoveries) );
-      ("recovery_latency_max_ms", Tracing.Json.Float rs.latency_max);
+      ("recovery_latency_max_ms", Json.Float rs.latency_max);
     ]
 
 let run ~smoke () =
@@ -197,7 +197,7 @@ let run ~smoke () =
     List.map
       (fun loss ->
         let row = run_loss_rate ~members ~messages ~max_steps ~loss in
-        Format.printf "  %s@." (Tracing.Json.to_string row);
+        Format.printf "  %s@." (Json.to_string row);
         row)
       rates
   in

@@ -89,7 +89,7 @@ let run_gap_note ~n ~k =
   done;
   let r =
     measure ~name:"alloc/gap-note" ~what:"session advertisement reveals losses via create-time on_gap"
-      ~budget:1.0 ~exact:false ~ops:(n * k) (fun () ->
+      ~budget:0.0 ~exact:true ~ops:(n * k) (fun () ->
         for m = 0 to n - 1 do
           Soa.note_session soa m ~max_seq:((2 * k) - 1)
         done)
@@ -108,7 +108,7 @@ let run_deadline_touch ~n ~k ~rounds =
     done
   done;
   measure ~name:"alloc/deadline-touch" ~what:"feedback touch re-arms a coalesced deadline in place"
-    ~budget:1.0 ~exact:false
+    ~budget:0.0 ~exact:true
     ~ops:(n * k * rounds)
     (fun () ->
       for _ = 1 to rounds do

@@ -9,7 +9,7 @@
     encode and decode (the per-datagram cost of the real-traffic
     backend) — and charges the minor-heap words the OCaml runtime
     allocated against a per-path budget. The budgets
-    are the single source of truth: [bench --alloc-gates] reports them
+    are the single source of truth: [bench/main.exe] reports them
     into [BENCH_alloc.json] and the [rrmp.allocation_gates] test suite
     asserts them on every [dune runtest], so an accidental closure or
     [Some] box on a hot path fails the build instead of shifting a

@@ -310,41 +310,3 @@ let run_1m ?(cells = [ (1024, 1024) ]) ?(msgs = 8) ?(burst = 4) ?(trials = 1)
        region count scales into the thousands; wall-clock and minor words per \
        delivery live in BENCH_scale.json"
     ~cells ~msgs ~burst ~trials ~quantum ~seed ()
-
-(* ------------------------------------------------------------------ *)
-(* Per-region fixed-overhead probe (spine acceptance metric)            *)
-(* ------------------------------------------------------------------ *)
-
-(* marginal heap words and Sim schedules per region, measured by
-   differencing two session sizes so shard-level fixed costs cancel.
-   Regions of size 1 with the session ticker off isolate the per-region
-   scaffolding: the only per-member state is one arena slot and one rng,
-   and the drain of a single full-reach multicast adds its events. *)
-let overhead_probe ~regions ~cap =
-  let config =
-    {
-      Rrmp.Config.default with
-      Rrmp.Config.long_term_lifetime = Some 400.0;
-      session_interval = None;
-      max_recovery_tries = Some 40;
-      deadline_quantum = 10.0;
-    }
-  in
-  let sizes = Array.make regions 1 in
-  let parents = Array.make regions 0 in
-  parents.(0) <- -1;
-  let w0 = Gc.minor_words () in
-  let sharded = Rrmp.Sharded.create ~seed:1 ~config ~sizes ~parents ~shards:1 ~cap () in
-  let w1 = Gc.minor_words () in
-  let sim = Rrmp.Sharded.sender_sim sharded in
-  ignore
-    (Engine.Sim.schedule_at sim ~at:0.0 (fun () ->
-         Rrmp.Sharded.multicast sharded ~reach:(fun ~region:_ ~member:_ -> true)));
-  Rrmp.Sharded.run sharded ~until:500.0;
-  (w1 -. w0, Rrmp.Sharded.sim_schedules sharded)
-
-let region_overhead ?(probe_regions = 16) ?(regions = 272) ?(cap = 8) () =
-  let w_small, s_small = overhead_probe ~regions:probe_regions ~cap in
-  let w_big, s_big = overhead_probe ~regions ~cap in
-  let d = float_of_int (regions - probe_regions) in
-  ((w_big -. w_small) /. d, float_of_int (s_big - s_small) /. d)

@@ -98,12 +98,3 @@ val run_1m :
     shape as {!run_sharded}, defaulting to one 1024 x 1024 cell (2^20
     members) with a lighter message load. The registry's quick variant
     scales the cell down without changing the code path. *)
-
-val region_overhead : ?probe_regions:int -> ?regions:int -> ?cap:int -> unit -> float * float
-(** [(words_per_region, schedules_per_region)]: marginal per-region
-    fixed overhead of the sharded session, measured by differencing a
-    [probe_regions]-region and a [regions]-region build (size-1
-    regions, session ticker off, shards = 1) — heap words allocated by
-    {!Rrmp.Sharded.create} and Sim schedules to drain one full-reach
-    multicast, per additional region. The bench gates this against the
-    spine budget. Runs the simulation twice; single-domain only. *)

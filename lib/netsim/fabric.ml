@@ -69,12 +69,8 @@ let create ~regions ~shards ~shard_of ~sim_of ~deliver =
     sim_of;
     shard_of;
     deliver;
-    blocks =
-      ((Array.init shards (fun _ -> { arr = [||]; len = 0 }))
-      [@lint.allow "H2 creation-time initialization, runs once per fabric"]);
-    free =
-      ((Array.init shards (fun _ -> { arr = [||]; len = 0 }))
-      [@lint.allow "H2 creation-time initialization, runs once per fabric"]);
+    blocks = Array.init shards (fun _ -> { arr = [||]; len = 0 });
+    free = Array.init shards (fun _ -> { arr = [||]; len = 0 });
     head = Array.make regions (-1);
     tail = Array.make regions (-1);
     posted_by = Array.make shards 0;

@@ -66,13 +66,6 @@ let digest t =
   fold (fun source d acc -> (source, Gap_detect.digest d) :: acc) t []
   |> List.sort (fun (a, _) (b, _) -> Node_id.compare a b)
 
-let digest_has digest id =
-  match List.assoc_opt (Msg_id.source id) digest with
-  | None -> false
-  | Some (horizon, missing) ->
-    let seq = Msg_id.seq id in
-    seq <= horizon && not (List.mem seq missing)
-
 (* indexed digest: per-source (horizon, sorted missing array), sorted
    by source, so membership probes are two binary searches *)
 type indexed = (Node_id.t * int * int array) array

@@ -37,11 +37,6 @@ type digest = (Node_id.t * (int * int list)) list
 val digest : t -> digest
 (** Sorted by source. *)
 
-val digest_has : digest -> Msg_id.t -> bool
-(** Whether the digest's owner has received the given message.
-    O(sources + missing) per probe — the reference implementation;
-    probe-heavy paths should build an {!indexed} form instead. *)
-
 type indexed
 (** A digest compiled for repeated membership probes: sorted arrays
     per source, answering each probe with two binary searches. *)
@@ -52,5 +47,6 @@ val index : digest -> indexed
     and allocation-free. *)
 
 val indexed_has : indexed -> Msg_id.t -> bool
-(** Same answer as {!digest_has} on the digest the index was built
-    from. *)
+(** Whether the owner of the digest the index was built from has
+    received the given message: its seq is at most the source's
+    horizon and not among the source's missing seqs. *)

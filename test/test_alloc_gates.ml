@@ -1,7 +1,7 @@
 (* Per-path allocation gates, asserted under dune runtest.
 
-   The budgets live in Experiments.Alloc_paths — the same table bench
-   --alloc-gates reports into BENCH_alloc.json — so a regression that
+   The budgets live in Experiments.Alloc_paths — the same table
+   bench/main.exe reports into BENCH_alloc.json — so a regression that
    puts an allocation back on a gated hot path (a closure capture, a
    [Some] box, a float boxed at a call boundary) fails the build here
    instead of quietly shifting a trajectory number. The drivers run in

@@ -140,65 +140,3 @@ let suites =
         Alcotest.test_case "runner replication" `Quick test_runner_replication;
       ] );
   ]
-
-(* --- workload generators --------------------------------------------- *)
-
-let test_workload_independent_rate () =
-  let rng = Engine.Rng.create ~seed:1 in
-  let reach = Experiments.Workload.independent ~rng ~p_reach:0.7 in
-  let hits = ref 0 in
-  let n = 10_000 in
-  for i = 0 to n - 1 do
-    if reach (Node_id.of_int i) then incr hits
-  done;
-  let rate = float_of_int !hits /. float_of_int n in
-  Alcotest.(check bool) "near 0.7" true (abs_float (rate -. 0.7) < 0.02)
-
-let test_workload_regional_correlation () =
-  (* with p_region_reach = 0.5 and perfect member delivery, each region
-     is all-or-nothing *)
-  let topology = Topology.chain ~sizes:[ 10; 10; 10; 10 ] in
-  let all_or_nothing = ref true in
-  let saw_full = ref false and saw_empty = ref false in
-  for seed = 1 to 30 do
-    let rng = Engine.Rng.create ~seed in
-    let reach =
-      Experiments.Workload.regional ~rng ~topology ~p_region_reach:0.5 ~p_member_reach:1.0 ()
-    in
-    List.iter
-      (fun region ->
-        let members = Topology.members topology region in
-        let got = Array.to_list members |> List.filter reach |> List.length in
-        if got = Array.length members then saw_full := true
-        else if got = 0 then saw_empty := true
-        else all_or_nothing := false)
-      (Topology.regions topology)
-  done;
-  Alcotest.(check bool) "regions are all-or-nothing" true !all_or_nothing;
-  Alcotest.(check bool) "some regions reached" true !saw_full;
-  Alcotest.(check bool) "some regions missed" true !saw_empty
-
-let test_workload_holders () =
-  let set = [| Node_id.of_int 1; Node_id.of_int 3 |] in
-  Alcotest.(check bool) "in set" true (Experiments.Workload.holders set (Node_id.of_int 3));
-  Alcotest.(check bool) "out of set" false (Experiments.Workload.holders set (Node_id.of_int 2))
-
-let test_workload_sample_holders () =
-  let topology = Topology.single_region ~size:10 in
-  let rng = Engine.Rng.create ~seed:2 in
-  let set = Experiments.Workload.sample_holders ~rng ~topology ~count:4 in
-  Alcotest.(check int) "size" 4 (Array.length set);
-  Alcotest.check_raises "too many rejected"
-    (Invalid_argument "Workload.sample_holders: count too large") (fun () ->
-      ignore (Experiments.Workload.sample_holders ~rng ~topology ~count:11))
-
-let workload_suite =
-  ( "experiments.workload",
-    [
-      Alcotest.test_case "independent rate" `Quick test_workload_independent_rate;
-      Alcotest.test_case "regional correlation" `Quick test_workload_regional_correlation;
-      Alcotest.test_case "holders" `Quick test_workload_holders;
-      Alcotest.test_case "sample holders" `Quick test_workload_sample_holders;
-    ] )
-
-let suites = suites @ [ workload_suite ]

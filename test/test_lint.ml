@@ -25,7 +25,6 @@ let fcfg =
     d4_dirs = [ "lint_fixtures" ];
     d4_allow = [];
     h1_files = [ "lint_fixtures/h1_alloc.ml" ];
-    h2_files = [ "lint_fixtures/h2_box.ml" ];
     m1_dirs = [ "lint_fixtures/m1" ];
     m1_exempt = [];
     typed_dirs = [];
@@ -88,21 +87,6 @@ let test_h1_only_when_hot () =
   let findings, _, _ = Lint.scan_file ~root:fixture_root cold "lint_fixtures/h1_alloc.ml" in
   Alcotest.(check int) "not hot, not flagged" 0 (List.length findings)
 
-let test_h2 () =
-  check_hits "find_opt, closure argument, Some, tuple" "lint_fixtures/h2_box.ml"
-    [ ("H2", 2); ("H2", 4); ("H2", 6); ("H2", 8) ]
-
-let test_h2_ctor_args_exempt () =
-  (* Pair (x, y) on line 14 is the constructor's own block, not a
-     tuple allocation: no finding past line 8 *)
-  Alcotest.(check bool) "no finding on the constructor application" true
-    (List.for_all (fun (_, line) -> line <= 8) (hits "lint_fixtures/h2_box.ml"))
-
-let test_h2_only_when_listed () =
-  let cold = { fcfg with Config.h2_files = [] } in
-  let findings, _, _ = Lint.scan_file ~root:fixture_root cold "lint_fixtures/h2_box.ml" in
-  Alcotest.(check int) "not listed, not flagged" 0 (List.length findings)
-
 let test_s1 () =
   check_hits "unknown rule id and missing justification" "lint_fixtures/s1_bad.ml"
     [ ("S1", 3); ("S1", 5) ]
@@ -160,7 +144,6 @@ let test_config_load () =
     (List.mem "lib/rrmp/member.ml" cfg.Config.h1_files);
   Alcotest.(check bool) "wire.ml declared hot" true
     (List.mem "lib/rrmp/wire.ml" cfg.Config.h1_files);
-  Alcotest.(check (list string)) "textual H2 superseded by typed A" [] cfg.Config.h2_files;
   Alcotest.(check (list string)) "typed pass reads the lib cmts" [ "lib" ] cfg.Config.typed_dirs;
   Alcotest.(check bool) "pool spawns are task roots" true
     (List.mem "Pool.parallel_for" cfg.Config.p_roots);
@@ -383,9 +366,6 @@ let suites =
         Alcotest.test_case "D4 environment reads" `Quick test_d4;
         Alcotest.test_case "H1 hot-path allocation" `Quick test_h1;
         Alcotest.test_case "H1 scoped to hot modules" `Quick test_h1_only_when_hot;
-        Alcotest.test_case "H2 boxing hazards" `Quick test_h2;
-        Alcotest.test_case "H2 constructor arguments exempt" `Quick test_h2_ctor_args_exempt;
-        Alcotest.test_case "H2 scoped to exact-zero modules" `Quick test_h2_only_when_listed;
         Alcotest.test_case "S1 suppression hygiene" `Quick test_s1;
         Alcotest.test_case "H1 allow placement is uniform" `Quick test_h1_scope;
         Alcotest.test_case "M1 missing interface" `Quick test_m1;

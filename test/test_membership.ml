@@ -1,5 +1,4 @@
-(* Tests for membership views, the gossip failure detector, and the
-   churn generator. *)
+(* Tests for membership views and the gossip failure detector. *)
 
 let test_view_basic () =
   let topology = Topology.chain ~sizes:[ 3; 2 ] in
@@ -128,44 +127,6 @@ let test_gossip_self_never_suspected () =
   Alcotest.(check bool) "self not suspected" false
     (Membership.Gossip_fd.is_suspected fds.(0) (Node_id.of_int 0))
 
-let test_churn_joins_and_leaves () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:12 in
-  let topology = Topology.single_region ~size:5 in
-  let sender = Node_id.of_int 0 in
-  let events = ref [] in
-  let churn =
-    Membership.Churn.start ~sim ~rng ~topology ~join_rate:0.01 ~leave_rate:0.01
-      ~protect:[ sender ] ~min_region_size:2
-      ~on_event:(fun e -> events := e :: !events)
-      ()
-  in
-  Engine.Sim.run ~until:2000.0 sim;
-  Membership.Churn.stop churn;
-  Alcotest.(check bool) "some joins happened" true (Membership.Churn.joins churn > 0);
-  Alcotest.(check bool) "some leaves happened" true (Membership.Churn.leaves churn > 0);
-  Alcotest.(check bool) "sender survives" true (Topology.is_member topology sender);
-  Alcotest.(check bool) "region never emptied" true
-    (Topology.region_size topology (Region_id.of_int 0) >= 2);
-  (* every leave event references a node that was live at the time *)
-  let leave_count =
-    List.length (List.filter (function Membership.Churn.Leave _ -> true | _ -> false) !events)
-  in
-  Alcotest.(check int) "event per leave" (Membership.Churn.leaves churn) leave_count
-
-let test_churn_zero_rates () =
-  let sim = Engine.Sim.create () in
-  let rng = Engine.Rng.create ~seed:13 in
-  let topology = Topology.single_region ~size:3 in
-  let churn =
-    Membership.Churn.start ~sim ~rng ~topology ~join_rate:0.0 ~leave_rate:0.0
-      ~on_event:(fun _ -> Alcotest.fail "no events expected")
-      ()
-  in
-  Engine.Sim.run ~until:1000.0 sim;
-  Alcotest.(check int) "no joins" 0 (Membership.Churn.joins churn);
-  Alcotest.(check int) "unchanged" 3 (Topology.node_count topology)
-
 let suites =
   [
     ( "membership.view",
@@ -183,10 +144,5 @@ let suites =
         Alcotest.test_case "detects stopped member" `Quick test_gossip_detects_stopped_member;
         Alcotest.test_case "heartbeats propagate" `Quick test_gossip_heartbeats_propagate;
         Alcotest.test_case "self never suspected" `Quick test_gossip_self_never_suspected;
-      ] );
-    ( "membership.churn",
-      [
-        Alcotest.test_case "joins and leaves" `Quick test_churn_joins_and_leaves;
-        Alcotest.test_case "zero rates" `Quick test_churn_zero_rates;
       ] );
   ]

@@ -90,12 +90,17 @@ let test_digest_has () =
   ignore (Protocol.Recv_log.note_data log (mid 0));
   ignore (Protocol.Recv_log.note_data log (mid 2));
   let digest = Protocol.Recv_log.digest log in
-  Alcotest.(check bool) "has 0" true (Protocol.Recv_log.digest_has digest (mid 0));
-  Alcotest.(check bool) "missing 1" false (Protocol.Recv_log.digest_has digest (mid 1));
-  Alcotest.(check bool) "has 2" true (Protocol.Recv_log.digest_has digest (mid 2));
-  Alcotest.(check bool) "beyond horizon" false (Protocol.Recv_log.digest_has digest (mid 5));
-  Alcotest.(check bool) "unknown source" false
-    (Protocol.Recv_log.digest_has digest (mid ~source:9 0))
+  let idx = Protocol.Recv_log.index digest in
+  (* the list-walk oracle and the indexed form give the same answers *)
+  let check name expected id =
+    Alcotest.(check bool) (name ^ " (oracle)") expected (Digest_oracle.has digest id);
+    Alcotest.(check bool) (name ^ " (indexed)") expected (Protocol.Recv_log.indexed_has idx id)
+  in
+  check "has 0" true (mid 0);
+  check "missing 1" false (mid 1);
+  check "has 2" true (mid 2);
+  check "beyond horizon" false (mid 5);
+  check "unknown source" false (mid ~source:9 0)
 
 (* --- sim corner cases -------------------------------------------------- *)
 

@@ -266,7 +266,8 @@ let test_foreign_and_corrupt_datagrams () =
 (* Build a member group whose sends go through the UDP transport and
    whose clock is the sim clock, then alternate socket drains with
    1 ms sim steps: datagrams travel for real, timers stay
-   deterministic. The harness below is the miniature of bench --net. *)
+   deterministic. The harness below is the miniature of the bench's
+   BENCH_net.json throughput rows. *)
 let test_member_recovery_over_udp () =
   let size = 8 in
   let topology = Topology.single_region ~size in

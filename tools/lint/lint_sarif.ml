@@ -13,7 +13,6 @@ let rule_help = function
   | "D3" -> "polymorphic structure on protocol types"
   | "D4" -> "hidden environment input"
   | "H1" -> "allocation hazard in a hot module"
-  | "H2" -> "boxing hazard in an exact-zero module"
   | "M1" -> "missing .mli interface"
   | "S1" -> "malformed lint suppression"
   | "P" -> "module-level mutable state on a parallel-task path"

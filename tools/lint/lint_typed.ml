@@ -38,9 +38,8 @@
       every index, the second is the caller's contract.
 
    A  typed allocation — on the exactly-0.0-gated modules ([a] files
-      in lint.toml) the typed layer supersedes the textual H2
-      heuristics: a call to an intra-repo function whose result type
-      is [float] boxes the return; a closure that captures locals
+      in lint.toml): a call to an intra-repo function whose result
+      type is [float] boxes the return; a closure that captures locals
       inside a [for]/[while] loop allocates per iteration (closed
       closures are statically allocated and stay silent); a function
       parameter typed as a bigarray that is still polymorphic in kind
@@ -48,8 +47,8 @@
       primitive (the 8x monomorphization lesson); and [Some]/tuple
       construction or an option-boxing [find_opt]-family lookup
       allocates on the gated path. Constructor arguments are typed
-      nodes here, so the Parsetree construct-of-tuple ambiguity does
-      not exist.
+      nodes here, so a constructor's own argument block is never
+      mistaken for a tuple allocation.
 
    Suppressions use the same [@lint.allow "RULE why"] grammar as the
    textual layer and land in the same audit trail. *)

@@ -1,7 +1,7 @@
 (* rrmp_lint — two-layer project lint over the repo's OCaml sources.
 
    Layer 1 (Lint_core) parses every source file and checks the textual
-   rules (D1-D4, H1, H2, M1, S1). Layer 2 (Lint_typed) loads the
+   rules (D1-D4, H1, M1, S1). Layer 2 (Lint_typed) loads the
    compiler's .cmt output, builds the intra-repo call graph, and checks
    the typed rules (P, E, A). Both layers share the
    [@lint.allow "RULE why"] suppression grammar and land in one report.
